@@ -13,8 +13,9 @@ use gpm_cluster::metrics::ClusterMetrics;
 use gpm_cluster::post::PostOffice;
 use gpm_cluster::work::WorkCounter;
 use gpm_graph::partition::PartitionedGraph;
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::{Label, VertexId};
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
+use gpm_pattern::kernel::{self, ListSource};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use khuzdul::{PartStats, RunStats, TrafficSummary};
@@ -82,10 +83,12 @@ impl CtdCluster {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors.
+    /// Propagates plan compilation errors, and rejects edge-labeled
+    /// patterns: the partitioned graph carries no edge labels.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
+        kernel::check_edge_labels::<JobLists<'_>>(&plan).map_err(|e| e.to_string())?;
         Ok(self.count_plan(&plan))
     }
 
@@ -205,47 +208,17 @@ impl Worker<'_> {
         }
     }
 
-    /// The edge list of the vertex at `pos`: carried, or owned locally.
-    fn list_of<'j>(&'j self, job: &'j Job, pos: usize) -> &'j [VertexId] {
-        if let Some((_, l)) = job.carried.iter().find(|(p, _)| *p == pos) {
-            return l;
-        }
-        self.pg
-            .part(self.part)
-            .edge_list(job.matched[pos])
-            .expect("ctd routing invariant: needed list is carried or local")
-    }
-
     fn process(&self, job: &Job, count: &mut u64) {
         let lp = &self.plan.levels()[job.level];
-        let mut raw: Vec<VertexId> = Vec::new();
-        {
-            let lists: Vec<&[VertexId]> =
-                lp.intersect.iter().map(|&p| self.list_of(job, p)).collect();
-            set_ops::intersect_many_into(&lists, &mut raw);
+        let mut lists = JobLists { pg: self.pg, part: self.part, job };
+        let mut raw = Vec::new();
+        kernel::raw_candidates(&mut lists, lp, &job.matched, &mut raw);
+        if job.level + 1 == self.plan.levels().len() {
+            *count += kernel::count_final(&lists, lp, &job.matched, &raw);
+            return;
         }
-        for &p in &lp.subtract {
-            let mut tmp = Vec::new();
-            set_ops::subtract_into(&raw, self.list_of(job, p), &mut tmp);
-            raw = tmp;
-        }
-        let terminal = job.level + 1 == self.plan.levels().len();
-        let labels = self.pg.labels();
         for &cand in &raw {
-            // Filters.
-            if lp.lower.iter().any(|&p| cand <= job.matched[p])
-                || lp.upper.iter().any(|&p| cand >= job.matched[p])
-                || lp.distinct.iter().any(|&p| cand == job.matched[p])
-            {
-                continue;
-            }
-            if let Some(required) = lp.label {
-                if labels.as_ref().map(|l| l[cand as usize]) != Some(required) {
-                    continue;
-                }
-            }
-            if terminal {
-                *count += 1;
+            if !kernel::passes(&lists, lp, &job.matched, cand) {
                 continue;
             }
             // Route the child: if the new vertex's list is active and
@@ -262,7 +235,7 @@ impl Worker<'_> {
                 if self.pg.owner(matched[p]) == target {
                     continue;
                 }
-                carried.push((p, self.list_of(job, p).to_vec()));
+                carried.push((p, lists.list_at(p).to_vec()));
             }
             let child = Job { level: job.level + 1, matched, carried };
             if target == self.part {
@@ -273,6 +246,39 @@ impl Worker<'_> {
                 self.endpoint.send(target, child, bytes);
             }
         }
+    }
+}
+
+/// The kernel's view of one job: its carried lists plus the lists this
+/// part owns.
+struct JobLists<'a> {
+    pg: &'a PartitionedGraph,
+    part: usize,
+    job: &'a Job,
+}
+
+impl<'a> JobLists<'a> {
+    /// The edge list of the vertex at `pos`: carried, or owned locally.
+    fn list_at(&self, pos: usize) -> &'a [VertexId] {
+        if let Some((_, l)) = self.job.carried.iter().find(|(p, _)| *p == pos) {
+            return l;
+        }
+        self.pg
+            .part(self.part)
+            .edge_list(self.job.matched[pos])
+            .expect("ctd routing invariant: needed list is carried or local")
+    }
+}
+
+impl<'a> ListSource<'a> for JobLists<'a> {
+    const EDGE_LABELS: bool = false;
+
+    fn list(&mut self, pos: usize, _matched: &[VertexId]) -> Option<&'a [VertexId]> {
+        Some(self.list_at(pos))
+    }
+
+    fn label(&self, v: VertexId) -> Option<Label> {
+        self.pg.label(v)
     }
 }
 

@@ -16,9 +16,10 @@
 //! regenerate.
 
 use gpm_cluster::{EdgeListClient, EdgeListService, FabricConfig};
-use gpm_graph::partition::PartitionedGraph;
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::partition::{GraphPart, PartitionedGraph};
+use gpm_graph::{Label, VertexId};
 use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
+use gpm_pattern::kernel::{self, ListSource};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use khuzdul::{PartStats, RunStats, TrafficSummary};
@@ -84,12 +85,14 @@ impl GThinker {
     ///
     /// # Errors
     ///
-    /// Propagates plan compilation errors.
+    /// Propagates plan compilation errors, and rejects edge-labeled
+    /// patterns: the partitioned graph carries no edge labels.
     pub fn count(&self, pattern: &Pattern, base: &PlanOptions) -> Result<RunStats, String> {
         // No vertical computation reuse: G-thinker explores trees with
         // plain nested loops.
         let opts = PlanOptions { vertical_reuse: false, ..base.clone() };
         let plan = MatchingPlan::compile(pattern, &opts)?;
+        kernel::check_edge_labels::<TaskLists<'_, '_>>(&plan).map_err(|e| e.to_string())?;
         Ok(self.count_plan(&plan))
     }
 
@@ -358,83 +361,71 @@ impl PartWorker<'_> {
         missing: &mut HashSet<VertexId>,
         touched: &mut HashSet<VertexId>,
     ) -> u64 {
+        let mut lists =
+            TaskLists { pg: self.pg, local: self.pg.part(self.part), cache, missing, touched };
         let mut matched = vec![root];
         let mut count = 0u64;
-        self.descend(0, &mut matched, cache, missing, touched, &mut count);
+        self.descend(0, &mut lists, &mut matched, &mut count);
         count
-    }
-
-    fn list_of<'c>(
-        &'c self,
-        v: VertexId,
-        cache: &'c HashMap<VertexId, CacheEntry>,
-        missing: &mut HashSet<VertexId>,
-        touched: &mut HashSet<VertexId>,
-    ) -> Option<&'c [VertexId]> {
-        touched.insert(v);
-        if let Some(l) = self.pg.part(self.part).edge_list(v) {
-            return Some(l);
-        }
-        match cache.get(&v) {
-            Some(e) if e.present => Some(&e.data),
-            _ => {
-                missing.insert(v);
-                None
-            }
-        }
     }
 
     fn descend(
         &self,
         level: usize,
+        lists: &mut TaskLists<'_, '_>,
         matched: &mut Vec<VertexId>,
-        cache: &HashMap<VertexId, CacheEntry>,
-        missing: &mut HashSet<VertexId>,
-        touched: &mut HashSet<VertexId>,
         count: &mut u64,
     ) {
         let lp = &self.plan.levels()[level];
-        let mut raw: Vec<VertexId> = Vec::new();
-        {
-            let mut lists: Vec<&[VertexId]> = Vec::with_capacity(lp.intersect.len());
-            for &p in &lp.intersect {
-                match self.list_of(matched[p], cache, missing, touched) {
-                    Some(l) => lists.push(l),
-                    None => return, // prune: data not yet local
-                }
-            }
-            set_ops::intersect_many_into(&lists, &mut raw);
+        let mut raw = Vec::new();
+        if !kernel::raw_candidates(lists, lp, matched, &mut raw) {
+            return; // prune: data not yet local
         }
-        for &p in &lp.subtract {
-            let Some(l) = self.list_of(matched[p], cache, missing, touched) else {
-                return;
-            };
-            let mut tmp = Vec::new();
-            set_ops::subtract_into(&raw, l, &mut tmp);
-            raw = tmp;
+        if level + 1 == self.plan.levels().len() {
+            *count += kernel::count_final(lists, lp, matched, &raw);
+            return;
         }
-        let terminal = level + 1 == self.plan.levels().len();
-        let labels = self.pg.labels();
         for &cand in &raw {
-            if lp.lower.iter().any(|&p| cand <= matched[p])
-                || lp.upper.iter().any(|&p| cand >= matched[p])
-                || lp.distinct.iter().any(|&p| cand == matched[p])
-            {
-                continue;
-            }
-            if let Some(required) = lp.label {
-                if labels.as_ref().map(|l| l[cand as usize]) != Some(required) {
-                    continue;
-                }
-            }
-            if terminal {
-                *count += 1;
-            } else {
+            if kernel::passes(lists, lp, matched, cand) {
                 matched.push(cand);
-                self.descend(level + 1, matched, cache, missing, touched, count);
+                self.descend(level + 1, lists, matched, count);
                 matched.pop();
             }
         }
+    }
+}
+
+/// The kernel's view of one task's probe: lists owned by this part or
+/// present in the software cache. Every list asked for is recorded in
+/// `touched`; an absent one also in `missing`.
+struct TaskLists<'a, 'm> {
+    pg: &'a PartitionedGraph,
+    local: &'a GraphPart,
+    cache: &'a HashMap<VertexId, CacheEntry>,
+    missing: &'m mut HashSet<VertexId>,
+    touched: &'m mut HashSet<VertexId>,
+}
+
+impl<'a> ListSource<'a> for TaskLists<'a, '_> {
+    const EDGE_LABELS: bool = false;
+
+    fn list(&mut self, pos: usize, matched: &[VertexId]) -> Option<&'a [VertexId]> {
+        let v = matched[pos];
+        self.touched.insert(v);
+        if let Some(l) = self.local.edge_list(v) {
+            return Some(l);
+        }
+        match self.cache.get(&v) {
+            Some(e) if e.present => Some(&e.data),
+            _ => {
+                self.missing.insert(v);
+                None
+            }
+        }
+    }
+
+    fn label(&self, v: VertexId) -> Option<Label> {
+        self.pg.label(v)
     }
 }
 

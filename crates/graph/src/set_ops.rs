@@ -151,28 +151,22 @@ pub fn intersect_many_into(lists: &[&[VertexId]], out: &mut Vec<VertexId>) {
     out.append(&mut cur);
 }
 
-/// Elements of sorted `a` not present in sorted `b`, appended to `out`.
+/// Removes from sorted `a` every element present in sorted `b`, in one
+/// merge pass and without a second buffer.
 ///
 /// # Example
 ///
 /// ```
-/// let mut out = Vec::new();
-/// gpm_graph::set_ops::subtract_into(&[1, 2, 3, 4], &[2, 4], &mut out);
-/// assert_eq!(out, vec![1, 3]);
+/// let mut a = vec![1, 2, 3, 4];
+/// gpm_graph::set_ops::subtract_in_place(&mut a, &[2, 4]);
+/// assert_eq!(a, vec![1, 3]);
 /// ```
-pub fn subtract_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() {
-        if j >= b.len() || a[i] < b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else if a[i] > b[j] {
-            j += 1;
-        } else {
-            i += 1;
-            j += 1;
-        }
-    }
+pub fn subtract_in_place(a: &mut Vec<VertexId>, b: &[VertexId]) {
+    let mut rest = b.iter().peekable();
+    a.retain(|&x| {
+        while rest.next_if(|&&y| y < x).is_some() {}
+        rest.peek() != Some(&&x)
+    });
 }
 
 /// Whether sorted slice `s` contains `x` (binary search).
@@ -273,12 +267,11 @@ mod tests {
 
     #[test]
     fn subtraction() {
-        let mut out = Vec::new();
-        subtract_into(&[1, 2, 3], &[], &mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        out.clear();
-        subtract_into(&[1, 2, 3], &[1, 2, 3, 4], &mut out);
-        assert!(out.is_empty());
+        let mut a = vec![1, 2, 3];
+        subtract_in_place(&mut a, &[]);
+        assert_eq!(a, vec![1, 2, 3]);
+        subtract_in_place(&mut a, &[1, 2, 3, 4]);
+        assert!(a.is_empty());
     }
 
     #[test]

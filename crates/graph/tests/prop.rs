@@ -44,8 +44,8 @@ proptest! {
 
     #[test]
     fn subtraction_equals_naive(a in arb_sorted_set(128), b in arb_sorted_set(128)) {
-        let mut out = Vec::new();
-        set_ops::subtract_into(&a, &b, &mut out);
+        let mut out = a.clone();
+        set_ops::subtract_in_place(&mut out, &b);
         let naive: Vec<VertexId> =
             a.iter().copied().filter(|x| !b.contains(x)).collect();
         prop_assert_eq!(out, naive);

@@ -5,8 +5,9 @@
 //! used as the ground-truth implementation for engine tests, as the core
 //! of the single-machine baselines, and by the oracle cross-checks.
 
-use crate::plan::{CandidateSource, LevelPlan, MatchingPlan, PairMode};
-use gpm_graph::{set_ops, Graph, VertexId};
+use crate::kernel::{self, GraphSource};
+use crate::plan::{MatchingPlan, PairMode};
+use gpm_graph::{Graph, VertexId};
 
 /// Counts the embeddings a plan produces on `g`.
 ///
@@ -24,31 +25,16 @@ use gpm_graph::{set_ops, Graph, VertexId};
 /// assert_eq!(interp::count_embeddings(&gen::complete(4), &plan), 4);
 /// ```
 pub fn count_embeddings(g: &Graph, plan: &MatchingPlan) -> u64 {
-    let mut count = 0u64;
-    enumerate_embeddings(g, plan, |_| count += 1);
-    count
+    walk(g, plan, false, g.vertices(), |_| true)
 }
 
 /// Enumerates embeddings, invoking `visit` with the matched vertices in
 /// matching-order positions (`matched[i]` = graph vertex at position `i`).
 pub fn enumerate_embeddings<F: FnMut(&[VertexId])>(g: &Graph, plan: &MatchingPlan, mut visit: F) {
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    // Intermediate (raw candidate) sets stored per level for reuse.
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        if plan.depth() == 1 {
-            visit(&[v]);
-            continue;
-        }
-        matched.push(v);
-        descend(g, plan, 0, &mut matched, &mut inter, &mut visit);
-        matched.pop();
-    }
+    walk(g, plan, false, g.vertices(), |m| {
+        visit(m);
+        true
+    });
 }
 
 /// Enumerates embeddings with early termination: `visit` returns `false`
@@ -57,224 +43,18 @@ pub fn enumerate_embeddings<F: FnMut(&[VertexId])>(g: &Graph, plan: &MatchingPla
 pub fn enumerate_embeddings_until<F: FnMut(&[VertexId]) -> bool>(
     g: &Graph,
     plan: &MatchingPlan,
-    mut visit: F,
+    visit: F,
 ) {
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        if plan.depth() == 1 {
-            if !visit(&[v]) {
-                return;
-            }
-            continue;
-        }
-        matched.push(v);
-        let keep = descend_until(g, plan, 0, &mut matched, &mut inter, &mut visit);
-        matched.pop();
-        if !keep {
-            return;
-        }
-    }
-}
-
-fn descend_until<F: FnMut(&[VertexId]) -> bool>(
-    g: &Graph,
-    plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
-    visit: &mut F,
-) -> bool {
-    let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
-    let last = level_idx + 1 == plan.levels().len();
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
-        if !passes_filters(g, lp, matched, cand) {
-            continue;
-        }
-        matched.push(cand);
-        let keep = if last {
-            visit(matched)
-        } else {
-            descend_until(g, plan, level_idx + 1, matched, inter, visit)
-        };
-        matched.pop();
-        if !keep {
-            return false;
-        }
-    }
-    true
-}
-
-/// Computes the raw (unfiltered) candidate set for the given level, given
-/// the matched prefix and the per-level intermediate storage.
-pub fn raw_candidates(
-    g: &Graph,
-    lp: &LevelPlan,
-    matched: &[VertexId],
-    inter: &[Vec<VertexId>],
-    out: &mut Vec<VertexId>,
-) {
-    out.clear();
-    match lp.source {
-        CandidateSource::Scratch => {
-            let lists: Vec<&[VertexId]> =
-                lp.intersect.iter().map(|&p| g.neighbors(matched[p])).collect();
-            set_ops::intersect_many_into(&lists, out);
-        }
-        CandidateSource::ParentIntermediate => {
-            out.extend_from_slice(&inter[lp.position - 1]);
-        }
-        CandidateSource::ParentIntermediateAndNew => {
-            set_ops::intersect_into(
-                &inter[lp.position - 1],
-                g.neighbors(matched[lp.position - 1]),
-                out,
-            );
-        }
-    }
-    if !lp.subtract.is_empty() {
-        let mut tmp = Vec::new();
-        for &p in &lp.subtract {
-            tmp.clear();
-            set_ops::subtract_into(out, g.neighbors(matched[p]), &mut tmp);
-            std::mem::swap(out, &mut tmp);
-        }
-    }
-}
-
-/// Whether candidate `cand` passes the level's filters (bounds,
-/// injectivity, label) given the matched prefix.
-#[inline]
-pub fn passes_filters(g: &Graph, lp: &LevelPlan, matched: &[VertexId], cand: VertexId) -> bool {
-    for &p in &lp.lower {
-        if cand <= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.upper {
-        if cand >= matched[p] {
-            return false;
-        }
-    }
-    for &p in &lp.distinct {
-        if cand == matched[p] {
-            return false;
-        }
-    }
-    if let Some(required) = lp.label {
-        if g.label(cand) != Some(required) {
-            return false;
-        }
-    }
-    for &(p, required) in &lp.edge_labels {
-        if g.edge_label(matched[p], cand) != Some(required) {
-            return false;
-        }
-    }
-    true
-}
-
-fn descend<F: FnMut(&[VertexId])>(
-    g: &Graph,
-    plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
-    visit: &mut F,
-) {
-    let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
-    let last = level_idx + 1 == plan.levels().len();
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
-        if !passes_filters(g, lp, matched, cand) {
-            continue;
-        }
-        matched.push(cand);
-        if last {
-            visit(matched);
-        } else {
-            descend(g, plan, level_idx + 1, matched, inter, visit);
-        }
-        matched.pop();
-    }
+    walk(g, plan, false, g.vertices(), visit);
 }
 
 /// Counts embeddings using the final-level counting shortcut: instead of
 /// iterating the last level's candidates, count how many pass the filters
-/// using order statistics where possible. Produces identical results to
+/// using order statistics where possible (and, for IEP plans, count the
+/// last two levels as pairs). Produces identical results to
 /// [`count_embeddings`]; used by counting-only applications.
 pub fn count_embeddings_fast(g: &Graph, plan: &MatchingPlan) -> u64 {
-    if plan.depth() == 1 {
-        return count_embeddings(g, plan);
-    }
-    let pair = plan.pair_count_mode();
-    let mut count = 0u64;
-    let mut matched: Vec<VertexId> = Vec::with_capacity(plan.depth());
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    for v in g.vertices() {
-        if let Some(required) = plan.root_label() {
-            if g.label(v) != Some(required) {
-                continue;
-            }
-        }
-        matched.push(v);
-        descend_fast(g, plan, 0, &mut matched, &mut inter, pair, &mut count);
-        matched.pop();
-    }
-    count
-}
-
-/// Pairs contributed by a qualifying candidate set of size `k` under the
-/// IEP shortcut.
-pub fn pair_contribution(k: u64, mode: PairMode) -> u64 {
-    match mode {
-        PairMode::Unordered => k * k.saturating_sub(1) / 2,
-        PairMode::Ordered => k * k.saturating_sub(1),
-    }
-}
-
-/// Counts the candidates of a final level that pass its filters, using
-/// partition points for the ordering bounds.
-pub fn count_final_level(
-    g: &Graph,
-    lp: &LevelPlan,
-    matched: &[VertexId],
-    cands: &[VertexId],
-) -> u64 {
-    if lp.label.is_some() || !lp.edge_labels.is_empty() {
-        // Label checks need per-candidate inspection.
-        return cands.iter().filter(|&&c| passes_filters(g, lp, matched, c)).count() as u64;
-    }
-    let lo: Option<VertexId> = lp.lower.iter().map(|&p| matched[p]).max();
-    let hi: Option<VertexId> = lp.upper.iter().map(|&p| matched[p]).min();
-    let begin = lo.map_or(0, |b| cands.partition_point(|&c| c <= b));
-    let end = hi.map_or(cands.len(), |b| cands.partition_point(|&c| c < b));
-    if begin >= end {
-        return 0;
-    }
-    let mut count = (end - begin) as u64;
-    for &p in &lp.distinct {
-        let m = matched[p];
-        let in_range = lo.is_none_or(|b| m > b) && hi.is_none_or(|b| m < b);
-        if in_range && set_ops::contains(cands, m) {
-            count -= 1;
-        }
-    }
-    count
+    walk(g, plan, true, g.vertices(), |_| true)
 }
 
 /// Counts the embeddings rooted at `v` only (level-0 vertex fixed),
@@ -282,56 +62,97 @@ pub fn count_final_level(
 /// [`count_embeddings_fast`]; single-machine baselines parallelize over
 /// roots with this.
 pub fn count_from_root(g: &Graph, plan: &MatchingPlan, v: VertexId) -> u64 {
-    if let Some(required) = plan.root_label() {
-        if g.label(v) != Some(required) {
-            return 0;
-        }
-    }
-    if plan.depth() == 1 {
-        return 1;
-    }
-    let mut count = 0u64;
-    let mut matched = vec![v];
-    let mut inter: Vec<Vec<VertexId>> = vec![Vec::new(); plan.depth()];
-    descend_fast(g, plan, 0, &mut matched, &mut inter, plan.pair_count_mode(), &mut count);
-    count
+    walk(g, plan, true, [v], |_| true)
 }
 
-fn descend_fast(
+/// The interpreter's one depth-first walk over `roots`.
+///
+/// In counting mode the last level — the last two under an IEP plan — is
+/// counted by the kernel's order statistics and `visit` is never called.
+/// Otherwise every embedding is handed to `visit`, which returns `false`
+/// to stop the walk. Returns the embeddings counted or visited.
+fn walk<V: FnMut(&[VertexId]) -> bool>(
     g: &Graph,
     plan: &MatchingPlan,
-    level_idx: usize,
-    matched: &mut Vec<VertexId>,
-    inter: &mut Vec<Vec<VertexId>>,
-    pair: Option<PairMode>,
-    count: &mut u64,
-) {
-    let lp = &plan.levels()[level_idx];
-    let mut cands = Vec::new();
-    raw_candidates(g, lp, matched, inter, &mut cands);
-    let last = level_idx + 1 == plan.levels().len();
-    if last {
-        *count += count_final_level(g, lp, matched, &cands);
-        return;
-    }
-    // IEP shortcut: collapse the last two loops into pair arithmetic.
-    if let Some(mode) = pair {
-        if level_idx + 2 == plan.levels().len() {
-            let k = count_final_level(g, lp, matched, &cands);
-            *count += pair_contribution(k, mode);
-            return;
-        }
-    }
-    if lp.store_intermediate {
-        inter[lp.position] = cands.clone();
-    }
-    for &cand in &cands {
-        if !passes_filters(g, lp, matched, cand) {
+    counting: bool,
+    roots: impl IntoIterator<Item = VertexId>,
+    visit: V,
+) -> u64 {
+    let mut w = Walk {
+        g,
+        plan,
+        pair: if counting { plan.pair_count_mode() } else { None },
+        counting,
+        matched: Vec::with_capacity(plan.depth()),
+        bufs: vec![Vec::new(); plan.levels().len()],
+        visit,
+        count: 0,
+    };
+    for v in roots {
+        if plan.root_label().is_some_and(|required| g.label(v) != Some(required)) {
             continue;
         }
-        matched.push(cand);
-        descend_fast(g, plan, level_idx + 1, matched, inter, pair, count);
-        matched.pop();
+        w.matched.push(v);
+        let keep = if plan.depth() == 1 { w.emit() } else { w.descend(0, &[]) };
+        w.matched.pop();
+        if !keep {
+            break;
+        }
+    }
+    w.count
+}
+
+struct Walk<'g, V> {
+    g: &'g Graph,
+    plan: &'g MatchingPlan,
+    counting: bool,
+    pair: Option<PairMode>,
+    matched: Vec<VertexId>,
+    /// One candidate buffer per level, reused across the whole walk.
+    bufs: Vec<Vec<VertexId>>,
+    visit: V,
+    count: u64,
+}
+
+impl<V: FnMut(&[VertexId]) -> bool> Walk<'_, V> {
+    /// Counts the complete embedding in `matched` and, unless counting,
+    /// hands it to `visit`. Returns whether the walk continues.
+    fn emit(&mut self) -> bool {
+        self.count += 1;
+        self.counting || (self.visit)(&self.matched)
+    }
+
+    /// Extends `matched` at `level`; `parent` is the previous level's raw
+    /// candidates, which reuse levels read. Returns `false` once `visit`
+    /// asked to stop.
+    fn descend(&mut self, level: usize, parent: &[VertexId]) -> bool {
+        let levels = self.plan.levels();
+        let lp = &levels[level];
+        let left = levels.len() - level;
+        let mut src = GraphSource { graph: self.g, parent };
+        let mut buf = std::mem::take(&mut self.bufs[level]);
+        kernel::raw_candidates(&mut src, lp, &self.matched, &mut buf);
+        let mut keep = true;
+        if self.counting && left == 1 {
+            self.count += kernel::count_final(&src, lp, &self.matched, &buf);
+        } else if let Some(mode) = self.pair.filter(|_| left == 2) {
+            let k = kernel::count_final(&src, lp, &self.matched, &buf);
+            self.count += kernel::pair_contribution(k, mode);
+        } else {
+            for &cand in &buf {
+                if !kernel::passes(&src, lp, &self.matched, cand) {
+                    continue;
+                }
+                self.matched.push(cand);
+                keep = if left == 1 { self.emit() } else { self.descend(level + 1, &buf) };
+                self.matched.pop();
+                if !keep {
+                    break;
+                }
+            }
+        }
+        self.bufs[level] = buf;
+        keep
     }
 }
 

@@ -17,6 +17,9 @@
 //!   subtract / filter programs with active-vertex sets (the paper's
 //!   extendable-embedding metadata, §3.1) and vertical computation reuse
 //!   annotations (§5.1);
+//! * [`kernel`] — the one level kernel: candidate generation, filtering,
+//!   final-level counting and IEP pair arithmetic, generic over where an
+//!   executor's edge lists live; every executor in the workspace runs it;
 //! * [`interp`] — a single-machine reference interpreter for plans;
 //! * [`oracle`] — a brute-force counting oracle used as the test ground
 //!   truth for every other counting path in the workspace.
@@ -42,6 +45,7 @@ mod pattern;
 pub mod genpat;
 pub mod interp;
 pub mod iso;
+pub mod kernel;
 pub mod oracle;
 pub mod order;
 pub mod plan;

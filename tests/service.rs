@@ -278,3 +278,38 @@ fn query_scoped_traffic_attribution_is_disjoint() {
         solo_sq.traffic.requests
     );
 }
+
+/// An edge-labeled pattern is refused at `submit`, before it is queued:
+/// an executor never sees it, so no thread panics and no wait hangs.
+#[test]
+fn edge_labeled_submissions_are_refused_before_queueing() {
+    let g = gen::erdos_renyi(60, 200, 4);
+    let engine = Arc::new(Engine::new(PartitionedGraph::new(&g, 2, 1), EngineConfig::default()));
+    let svc = MiningService::start(engine, ServiceConfig::default());
+    let p = Pattern::triangle().with_edge_labels(&[(0, 1, 0), (1, 2, 1), (0, 2, 0)]).unwrap();
+    let err = svc.submit(&p, &PlanOptions::automine()).unwrap_err();
+    assert!(err.contains("edge labels"), "{err}");
+    assert_eq!(svc.admitted_count(), 0);
+    assert_eq!(svc.queue_depth(), 0);
+    // The executors are alive and serve the next query.
+    let h = svc.submit(&Pattern::triangle(), &PlanOptions::automine()).unwrap();
+    assert_eq!(h.wait().unwrap().count, oracle::count_subgraphs(&g, &Pattern::triangle(), false));
+}
+
+/// Dropping a service races its executors: one may have found the queue
+/// empty but not yet parked. A stop flag set outside the queue lock
+/// would miss it and leave `join` blocked forever, so a thousand
+/// start/drop cycles must finish within a bounded wall time.
+#[test]
+fn start_and_drop_never_hangs() {
+    let pg = PartitionedGraph::new(&gen::complete(4), 1, 1);
+    let engine = Arc::new(Engine::new(pg, EngineConfig::default()));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..1000 {
+            drop(MiningService::start(Arc::clone(&engine), ServiceConfig::default()));
+        }
+        done_tx.send(()).unwrap();
+    });
+    done_rx.recv_timeout(Duration::from_secs(60)).expect("a service start/drop cycle hung");
+}
