@@ -1,21 +1,6 @@
 //! `gpm` — command-line pattern mining over the simulated cluster.
 //!
-//! ```text
-//! Usage: gpm [OPTIONS]
-//!
-//!   --graph <path>        load a SNAP text (or .bin) edge list
-//!   --gen <spec>          or generate: ba:N,M[,SEED] | er:N,M[,SEED] |
-//!                         rmat:SCALE,EF[,SEED] | dataset:ABBR
-//!   --pattern <spec>      triangle | clique:K | path:K | cycle:K |
-//!                         star:K | house | diamond | edges:0-1,1-2,...
-//!   --system <name>       khuzdul-automine (default) | khuzdul-graphpi |
-//!                         gthinker | replicated | ctd | single
-//!   --machines <N>        simulated machines (default 4)
-//!   --sockets <S>         NUMA sockets per machine (default 1)
-//!   --threads <T>         compute threads per part (default 2)
-//!   --induced             induced (exact) matching
-//!   --quiet               print only the count
-//! ```
+//! `gpm --help` lists the commands and flags.
 //!
 //! Example: `gpm --gen ba:20000,8 --pattern clique:4 --machines 8`
 
@@ -23,12 +8,8 @@ use gpm_apps::cli;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match cli::run(&args) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("run with --help for usage");
-            std::process::exit(2);
-        }
+    let status = cli::main(&args, &mut std::io::stdout(), &mut std::io::stderr());
+    if status != 0 {
+        std::process::exit(status);
     }
 }

@@ -23,6 +23,65 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// What `gpm --help` prints.
+pub const USAGE: &str = "\
+Usage: gpm [COMMAND] [OPTIONS]
+
+Commands (default: count):
+  count                 count a pattern's embeddings (the default)
+  stats                 graph characterization: --graph|--gen
+  motifs                k-motif census: --graph|--gen, --k K, --machines N
+  fsm                   frequent subgraph mining: --graph|--gen, --threshold T,
+                        --max-edges E, --labels L, --machines N
+  serve                 replay a --queries FILE workload on a resident engine
+  top ADDR              live view of a serve --status-addr endpoint
+  report diff A B       regression gate over two --report-out files
+  report-validate FILE  schema-check a --report-out file
+  metrics-validate FILE syntax-check a saved /metrics scrape
+  incident list|show|diff  inspect --incident-dir bundles
+
+Count options:
+  --graph <path>        load a SNAP text (or .bin) edge list
+  --gen <spec>          or generate: ba:N,M[,SEED] | er:N,M[,SEED] |
+                        rmat:SCALE,EF[,SEED] | dataset:ABBR
+  --pattern <spec>      triangle | clique:K | path:K | cycle:K | star:K |
+                        house | diamond | edges:0-1,1-2,...
+  --system <name>       khuzdul-automine (default) | khuzdul-graphpi |
+                        gthinker | replicated | ctd | single
+  --machines <N>        simulated machines (default 4)
+  --sockets <S>         NUMA sockets per machine (default 1)
+  --threads <T>         compute threads per part (default 2)
+  --induced             induced (exact) matching
+  --quiet               print only the count
+  --window <N>          in-flight fetch window per part
+  --retries <N>         fetch attempts before a timeout
+  --fault-drop <F>      drop this fraction of fetch replies
+  --fault-crash <P@A>   crash part P after A requests (repeatable)
+  --replication <R>     hosts per edge-list slice
+  --fail-fast           declare a part dead once its retries run out
+  --rebalance on|off    re-replicate slices after a crash (default on)
+  --steal on|off        cross-part work stealing (default on)
+  --steal-batch <N>     roots per steal
+  --control shared|msg  steal/claim coordination carrier
+  --control-fault-drop <F>  drop this fraction of control messages (msg)
+  --trace-out <path>    write a Chrome trace-event file
+  --report-out <path>   write a RunReport JSON file
+  --incident-dir <dir>  capture incident bundles here
+  --stall-ms <MS>       stall threshold for incident capture
+  -h, --help            print this help
+
+Serve options (plus --graph|--gen, --machines, --sockets, --threads, --steal,
+--control, --replication, --rebalance, --quiet, --report-out, --incident-dir,
+--stall-ms):
+  --queries <file>      one pattern spec per line [induced] [graphpi]
+  --max-concurrent <N>  queries admitted at once
+  --root-budget <N>     roots a query may claim ahead of the least-served one
+  --memo-capacity <N>   memoized query results kept
+  --status-addr <addr>  serve /status and /metrics over HTTP
+  --slow-query-ms <MS>  list queries slower than this in the slow-query log
+  --status-linger-ms <MS>  keep the status endpoint up after the workload
+";
+
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
@@ -160,8 +219,7 @@ impl System {
 /// # Errors
 ///
 /// Returns a human-readable message on unknown flags, missing values, or
-/// malformed specs. `--help` is reported as an error string containing
-/// the usage text.
+/// malformed specs. [`run`] answers `--help` before parsing.
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut graph: Option<GraphSource> = None;
     let mut pattern: Option<Pattern> = None;
@@ -228,7 +286,6 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                     other => return Err(format!("--rebalance takes on|off, not '{other}'")),
                 }
             }
-            "--help" | "-h" => return Err("see the crate docs for usage".into()),
             other => return Err(format!("unknown flag '{other}'")),
         }
     }
@@ -381,6 +438,9 @@ pub fn parse_gen(spec: &str) -> Result<Graph, String> {
 ///
 /// Propagates parse, I/O, and plan-compilation failures as strings.
 pub fn run(args: &[String]) -> Result<String, String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(USAGE.to_string());
+    }
     match args.first().map(String::as_str) {
         Some("stats") => return run_stats(&args[1..]),
         Some("motifs") => return run_motifs(&args[1..]),
@@ -395,6 +455,26 @@ pub fn run(args: &[String]) -> Result<String, String> {
         _ => {}
     }
     run_count(args)
+}
+
+/// Runs `args` as the `gpm` binary does: the report goes to `stdout`; an
+/// error goes to `stderr` with a pointer to `--help`. Returns the exit
+/// status: 0 on success (`--help` included), 2 on any error.
+pub fn main(
+    args: &[String],
+    stdout: &mut impl std::io::Write,
+    stderr: &mut impl std::io::Write,
+) -> i32 {
+    match run(args) {
+        Ok(report) => {
+            let _ = write!(stdout, "{report}");
+            0
+        }
+        Err(e) => {
+            let _ = writeln!(stderr, "error: {e}\nrun with --help for usage");
+            2
+        }
+    }
 }
 
 /// One line of a `serve --queries` workload file: a pattern spec plus

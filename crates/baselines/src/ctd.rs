@@ -212,7 +212,7 @@ impl Worker<'_> {
         let lp = &self.plan.levels()[job.level];
         let mut lists = JobLists { pg: self.pg, part: self.part, job };
         let mut raw = Vec::new();
-        kernel::raw_candidates(&mut lists, lp, &job.matched, &mut raw);
+        kernel::raw_candidates(&mut lists, lp, &job.matched, &mut raw, &mut Vec::new());
         if job.level + 1 == self.plan.levels().len() {
             *count += kernel::count_final(&lists, lp, &job.matched, &raw);
             return;

@@ -378,7 +378,7 @@ impl PartWorker<'_> {
     ) {
         let lp = &self.plan.levels()[level];
         let mut raw = Vec::new();
-        if !kernel::raw_candidates(lists, lp, matched, &mut raw) {
+        if !kernel::raw_candidates(lists, lp, matched, &mut raw, &mut Vec::new()) {
             return; // prune: data not yet local
         }
         if level + 1 == self.plan.levels().len() {

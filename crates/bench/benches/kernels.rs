@@ -23,6 +23,21 @@ fn bench_set_ops(c: &mut Criterion) {
             out
         })
     });
+    // The level kernel's bounded form: both lists clipped above the
+    // median of `a` (a symmetry-breaking `>` bound) before merging.
+    let median = a[a.len() / 2];
+    g.bench_function("intersect_bounded_10k", |bench| {
+        bench.iter(|| {
+            let mut out = Vec::new();
+            let lo = Some(black_box(median));
+            set_ops::intersect_into(
+                set_ops::clip(black_box(&a), lo, None),
+                set_ops::clip(black_box(&b), lo, None),
+                &mut out,
+            );
+            out
+        })
+    });
     g.bench_function("intersect_galloping_100_vs_10k", |bench| {
         bench.iter(|| {
             let mut out = Vec::new();

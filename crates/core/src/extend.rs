@@ -229,7 +229,7 @@ impl Worker<'_, '_, '_> {
         let mut matched = [0 as VertexId; gpm_pattern::MAX_PATTERN_VERTICES];
         matched_chain(self.read, self.cur, emb, &mut matched);
         let mut src = ChunkLists { ctx, read: self.read, cur: self.cur, emb };
-        kernel::raw_candidates(&mut src, lp, &matched, &mut scratch.raw);
+        kernel::raw_candidates(&mut src, lp, &matched, &mut scratch.raw, &mut scratch.tmp);
         let raw = &scratch.raw;
 
         if self.terminal {
@@ -279,6 +279,7 @@ impl Worker<'_, '_, '_> {
 #[derive(Default)]
 struct Scratch {
     raw: Vec<VertexId>,
+    tmp: Vec<VertexId>,
     staged: Vec<StagedChild>,
 }
 

@@ -32,19 +32,22 @@ pub fn intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
     }
 }
 
+/// Branchless merge: every step writes `a[i]` into the output's next slot
+/// and keeps it only on a match, so the loop carries no data-dependent
+/// branch for the predictor to miss.
 fn merge_intersect_into(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) {
-    let (mut i, mut j) = (0, 0);
+    let start = out.len();
+    out.resize(start + a.len().min(b.len()), 0);
+    let slots = &mut out[start..];
+    let (mut i, mut j, mut k) = (0, 0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
+        let (x, y) = (a[i], b[j]);
+        slots[k] = x;
+        k += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
+    out.truncate(start + k);
 }
 
 fn gallop_intersect_into(short: &[VertexId], long: &[VertexId], out: &mut Vec<VertexId>) {
@@ -107,48 +110,65 @@ pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> usize {
     } else {
         let (mut i, mut j, mut count) = (0, 0, 0);
         while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
+            let (x, y) = (a[i], b[j]);
+            count += usize::from(x == y);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
         count
     }
 }
 
-/// Intersection of `k >= 1` sorted slices, appended to `out`.
+/// Intersection of `k >= 1` sorted slices, written into `out` (replacing
+/// its contents) without allocating.
 ///
-/// Lists are intersected smallest-first to keep intermediates small.
+/// Lists are intersected smallest-first to keep intermediates small, so
+/// `lists` is reordered by length. Intermediates ping-pong between `out`
+/// and the caller's `tmp`, whose contents are clobbered.
 ///
 /// # Panics
 ///
 /// Panics if `lists` is empty (an empty intersection is ill-defined: it
 /// would be "all vertices").
-pub fn intersect_many_into(lists: &[&[VertexId]], out: &mut Vec<VertexId>) {
+pub fn intersect_many_into(
+    lists: &mut [&[VertexId]],
+    out: &mut Vec<VertexId>,
+    tmp: &mut Vec<VertexId>,
+) {
     assert!(!lists.is_empty(), "intersect_many_into requires at least one list");
+    out.clear();
     if lists.len() == 1 {
         out.extend_from_slice(lists[0]);
         return;
     }
-    let mut order: Vec<usize> = (0..lists.len()).collect();
-    order.sort_unstable_by_key(|&i| lists[i].len());
-    let mut cur: Vec<VertexId> = Vec::new();
-    intersect_into(lists[order[0]], lists[order[1]], &mut cur);
-    let mut next: Vec<VertexId> = Vec::new();
-    for &i in &order[2..] {
-        if cur.is_empty() {
-            break;
-        }
+    lists.sort_unstable_by_key(|l| l.len());
+    // Each later list flips the buffers once; start where the last result
+    // lands in `out`.
+    let (mut cur, mut next) = if lists.len().is_multiple_of(2) { (out, tmp) } else { (tmp, out) };
+    cur.clear();
+    intersect_into(lists[0], lists[1], cur);
+    for list in &lists[2..] {
         next.clear();
-        intersect_into(&cur, lists[i], &mut next);
+        intersect_into(cur, list, next);
         std::mem::swap(&mut cur, &mut next);
     }
-    out.append(&mut cur);
+}
+
+/// The part of sorted `s` strictly between `lo` and `hi`; a missing bound
+/// leaves that side open. Two binary searches, no copy.
+///
+/// # Example
+///
+/// ```
+/// use gpm_graph::set_ops::clip;
+/// assert_eq!(clip(&[1, 3, 5, 7, 9], Some(3), Some(9)), &[5, 7]);
+/// assert_eq!(clip(&[1, 3, 5], None, Some(4)), &[1, 3]);
+/// assert!(clip(&[1, 3, 5], Some(4), Some(2)).is_empty());
+/// ```
+pub fn clip(s: &[VertexId], lo: Option<VertexId>, hi: Option<VertexId>) -> &[VertexId] {
+    let begin = lo.map_or(0, |b| s.partition_point(|&v| v <= b));
+    let end = hi.map_or(s.len(), |b| s.partition_point(|&v| v < b));
+    &s[begin..end.max(begin)]
 }
 
 /// Removes from sorted `a` every element present in sorted `b`, in one
@@ -247,22 +267,26 @@ mod tests {
         let a: &[VertexId] = &[1, 2, 3, 4, 5, 6];
         let b: &[VertexId] = &[2, 4, 6, 8];
         let c: &[VertexId] = &[4, 5, 6];
-        let mut out = Vec::new();
-        intersect_many_into(&[a, b, c], &mut out);
+        let mut out = vec![99];
+        intersect_many_into(&mut [a, b, c], &mut out, &mut Vec::new());
         assert_eq!(out, vec![4, 6]);
+        // Four lists end in `out` too, whichever buffer the first step used.
+        let d: &[VertexId] = &[0, 6];
+        intersect_many_into(&mut [a, b, c, d], &mut out, &mut Vec::new());
+        assert_eq!(out, vec![6]);
     }
 
     #[test]
     fn single_list_intersection_is_copy() {
         let mut out = Vec::new();
-        intersect_many_into(&[&[3, 1 + 1, 7][..]], &mut out);
+        intersect_many_into(&mut [&[3, 1 + 1, 7][..]], &mut out, &mut Vec::new());
         assert_eq!(out, vec![3, 2, 7]); // copied verbatim
     }
 
     #[test]
     #[should_panic(expected = "at least one list")]
     fn empty_list_set_panics() {
-        intersect_many_into(&[], &mut Vec::new());
+        intersect_many_into(&mut [], &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]

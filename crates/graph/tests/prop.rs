@@ -11,6 +11,55 @@ fn arb_sorted_set(max: u32) -> impl Strategy<Value = Vec<VertexId>> {
     prop::collection::btree_set(0..max, 0..64).prop_map(|s| s.into_iter().collect())
 }
 
+/// A short and a long sorted set over one range: their size ratio falls
+/// on both sides of the 16:1 threshold where intersection gallops.
+fn arb_skewed_pair() -> impl Strategy<Value = (Vec<VertexId>, Vec<VertexId>)> {
+    let set =
+        |len| prop::collection::btree_set(0..4096u32, len).prop_map(|s| s.into_iter().collect());
+    (set(0..12), set(0..400))
+}
+
+/// An optional clip bound; `None` about one time in eight.
+fn arb_bound() -> impl Strategy<Value = Option<VertexId>> {
+    (0..4680u32).prop_map(|x| (x < 4096).then_some(x))
+}
+
+/// The two-pointer merge the set kernels replaced, kept as their oracle.
+fn branchy_merge(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out
+}
+
+fn naive_intersection(a: &[VertexId], b: &[VertexId]) -> Vec<VertexId> {
+    a.iter().copied().filter(|x| b.contains(x)).collect()
+}
+
+/// Checks `intersect_into` and `intersect_count` on `(a, b)` and
+/// `(b, a)` against the oracle merge and the naive filter.
+fn check_intersection(a: &[VertexId], b: &[VertexId]) -> Result<(), TestCaseError> {
+    let expect = branchy_merge(a, b);
+    prop_assert_eq!(&expect, &naive_intersection(a, b));
+    for (x, y) in [(a, b), (b, a)] {
+        // Results append to what the buffer already holds.
+        let mut out = vec![7];
+        set_ops::intersect_into(x, y, &mut out);
+        prop_assert_eq!(&out[1..], &expect[..]);
+        prop_assert_eq!(set_ops::intersect_count(x, y), expect.len());
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn builder_output_is_canonical(edges in arb_edges(64, 200)) {
@@ -34,12 +83,30 @@ proptest! {
 
     #[test]
     fn intersection_equals_naive(a in arb_sorted_set(128), b in arb_sorted_set(128)) {
-        let mut out = Vec::new();
-        set_ops::intersect_into(&a, &b, &mut out);
-        let naive: Vec<VertexId> =
-            a.iter().copied().filter(|x| b.contains(x)).collect();
-        prop_assert_eq!(&out, &naive);
-        prop_assert_eq!(set_ops::intersect_count(&a, &b), naive.len());
+        check_intersection(&a, &b)?;
+    }
+
+    #[test]
+    fn skewed_intersection_matches_the_oracle_merge((short, long) in arb_skewed_pair()) {
+        check_intersection(&short, &long)?;
+    }
+
+    #[test]
+    fn clipped_intersection_matches_the_oracle_merge(
+        (short, long) in arb_skewed_pair(),
+        lo in arb_bound(),
+        hi in arb_bound(),
+    ) {
+        let inside = |x: &VertexId| lo.is_none_or(|b| *x > b) && hi.is_none_or(|b| *x < b);
+        for s in [&short, &long] {
+            let naive: Vec<VertexId> = s.iter().copied().filter(inside).collect();
+            prop_assert_eq!(set_ops::clip(s, lo, hi), &naive[..]);
+        }
+        let (a, b) = (set_ops::clip(&short, lo, hi), set_ops::clip(&long, lo, hi));
+        check_intersection(a, b)?;
+        let clipped_after: Vec<VertexId> =
+            branchy_merge(&short, &long).into_iter().filter(inside).collect();
+        prop_assert_eq!(branchy_merge(a, b), clipped_after);
     }
 
     #[test]
@@ -62,8 +129,22 @@ proptest! {
         let mut expect2 = Vec::new();
         set_ops::intersect_into(&expect, &c, &mut expect2);
         let mut out = Vec::new();
-        set_ops::intersect_many_into(&[&a, &b, &c], &mut out);
+        set_ops::intersect_many_into(&mut [&a, &b, &c], &mut out, &mut Vec::new());
         prop_assert_eq!(out, expect2);
+    }
+
+    #[test]
+    fn many_way_intersection_equals_naive(
+        lists in prop::collection::vec(arb_sorted_set(48), 1..6),
+        stale in arb_sorted_set(48),
+    ) {
+        let expect: Vec<VertexId> =
+            lists[0].iter().copied().filter(|x| lists.iter().all(|l| l.contains(x))).collect();
+        let mut refs: Vec<&[VertexId]> = lists.iter().map(Vec::as_slice).collect();
+        // Whatever both buffers held before is replaced.
+        let (mut out, mut tmp) = (stale.clone(), stale);
+        set_ops::intersect_many_into(&mut refs, &mut out, &mut tmp);
+        prop_assert_eq!(out, expect);
     }
 
     #[test]

@@ -31,27 +31,52 @@ pub fn connected_patterns(k: usize) -> Vec<Pattern> {
     if k == 1 {
         return vec![Pattern::single_vertex()];
     }
-    let pairs: Vec<(usize, usize)> = (0..k).flat_map(|v| (0..v).map(move |u| (u, v))).collect();
+    // Every connected graph is a smaller connected graph plus one vertex
+    // attached to some of its vertices (drop a leaf of a spanning tree).
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
-    let mut out = Vec::new();
-    for mask in 0u32..(1 << pairs.len()) {
-        if (mask.count_ones() as usize) < k - 1 {
-            continue; // cannot be connected
-        }
-        let edges: Vec<(usize, usize)> = pairs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| mask & (1 << i) != 0)
-            .map(|(_, &e)| e)
-            .collect();
-        let Ok(p) = Pattern::from_edges(k, &edges) else {
-            continue; // disconnected
-        };
-        if seen.insert(iso::canonical_code(&p)) {
-            out.push(p);
+    let mut masks = Vec::new();
+    for p in connected_patterns(k - 1) {
+        for attach in 1u32..(1 << (k - 1)) {
+            let mut edges = p.edges();
+            edges.extend((0..k - 1).filter(|u| attach >> u & 1 == 1).map(|u| (u, k - 1)));
+            let q = Pattern::from_edges(k, &edges).expect("attachment keeps the pattern connected");
+            if seen.insert(iso::canonical_code(&q)) {
+                masks.push(smallest_edge_mask(&q));
+            }
         }
     }
-    out
+    // Each class is reported as its smallest edge mask, in mask order.
+    masks.sort_unstable();
+    masks.into_iter().map(|mask| pattern_of_mask(k, mask)).collect()
+}
+
+/// Bit of edge `(u, v)`, `u < v`, in an edge mask; the pairs are
+/// numbered `(0,1), (0,2), (1,2), (0,3), ...`.
+fn edge_bit(u: usize, v: usize) -> u32 {
+    1 << (v * (v - 1) / 2 + u)
+}
+
+fn pattern_of_mask(k: usize, mask: u32) -> Pattern {
+    let edges: Vec<(usize, usize)> = (0..k)
+        .flat_map(|v| (0..v).map(move |u| (u, v)))
+        .filter(|&(u, v)| mask & edge_bit(u, v) != 0)
+        .collect();
+    Pattern::from_edges(k, &edges).expect("mask of a connected pattern")
+}
+
+/// The smallest edge mask among all relabelings of `p`.
+fn smallest_edge_mask(p: &Pattern) -> u32 {
+    let edges = p.edges();
+    let mut best = u32::MAX;
+    let mut perm: Vec<usize> = (0..p.size()).collect();
+    iso::permute_all(&mut perm, 0, &mut |perm| {
+        let mask = edges.iter().fold(0, |m, &(u, v)| {
+            let (a, b) = (perm[u].min(perm[v]), perm[u].max(perm[v]));
+            m | edge_bit(a, b)
+        });
+        best = best.min(mask);
+    });
+    best
 }
 
 /// All single-edge labeled patterns over `label_count` labels, up to
@@ -126,6 +151,27 @@ mod tests {
         assert_eq!(connected_patterns(3).len(), 2);
         assert_eq!(connected_patterns(4).len(), 6);
         assert_eq!(connected_patterns(5).len(), 21);
+    }
+
+    /// Grown patterns equal those of enumerating every edge mask and
+    /// keeping the first of each isomorphism class, in the same order.
+    #[test]
+    fn growth_matches_mask_enumeration() {
+        for k in 2..=5 {
+            let mut seen = HashSet::new();
+            let brute: Vec<Pattern> = (0u32..1 << (k * (k - 1) / 2))
+                .filter_map(|mask| {
+                    let edges: Vec<(usize, usize)> = (0..k)
+                        .flat_map(|v| (0..v).map(move |u| (u, v)))
+                        .filter(|&(u, v)| mask & edge_bit(u, v) != 0)
+                        .collect();
+                    Pattern::from_edges(k, &edges).ok()
+                })
+                .filter(|p| seen.insert(iso::canonical_code(p)))
+                .collect();
+            assert_eq!(connected_patterns(k), brute, "k = {k}");
+        }
+        assert_eq!(connected_patterns(6).len(), 112);
     }
 
     #[test]

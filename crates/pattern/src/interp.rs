@@ -85,6 +85,7 @@ fn walk<V: FnMut(&[VertexId]) -> bool>(
         counting,
         matched: Vec::with_capacity(plan.depth()),
         bufs: vec![Vec::new(); plan.levels().len()],
+        tmp: Vec::new(),
         visit,
         count: 0,
     };
@@ -110,6 +111,8 @@ struct Walk<'g, V> {
     matched: Vec<VertexId>,
     /// One candidate buffer per level, reused across the whole walk.
     bufs: Vec<Vec<VertexId>>,
+    /// The kernel's scratch space for multi-way intersections.
+    tmp: Vec<VertexId>,
     visit: V,
     count: u64,
 }
@@ -131,7 +134,7 @@ impl<V: FnMut(&[VertexId]) -> bool> Walk<'_, V> {
         let left = levels.len() - level;
         let mut src = GraphSource { graph: self.g, parent };
         let mut buf = std::mem::take(&mut self.bufs[level]);
-        kernel::raw_candidates(&mut src, lp, &self.matched, &mut buf);
+        kernel::raw_candidates(&mut src, lp, &self.matched, &mut buf, &mut self.tmp);
         let mut keep = true;
         if self.counting && left == 1 {
             self.count += kernel::count_final(&src, lp, &self.matched, &buf);

@@ -169,7 +169,8 @@ pub fn canonical_code(p: &Pattern) -> Vec<u8> {
     best.expect("at least one permutation exists")
 }
 
-fn permute_all(perm: &mut Vec<usize>, i: usize, f: &mut impl FnMut(&[usize])) {
+/// Calls `f` with every permutation of `perm[i..]` (prefix fixed).
+pub(crate) fn permute_all(perm: &mut Vec<usize>, i: usize, f: &mut impl FnMut(&[usize])) {
     let n = perm.len();
     if i == n {
         f(perm);

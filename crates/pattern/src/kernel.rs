@@ -4,9 +4,9 @@
 //! Every executor in the workspace — the reference interpreter, the
 //! Khuzdul engine's chunked extension, the G-thinker and CTD baselines —
 //! computes a level the same way: intersect the edge lists the plan names
-//! (or reuse the parent's stored candidates, §5.1), subtract the induced
-//! lists, then filter each candidate by the symmetry-breaking bounds,
-//! injectivity and labels. This module is the only implementation of
+//! (or reuse the parent's stored candidates, §5.1), each first clipped to
+//! the level's symmetry-breaking bounds, subtract the induced lists, then
+//! filter each candidate by the bounds, injectivity and labels. This module is the only implementation of
 //! those steps, so the systems differ in scheduling, communication and
 //! reuse, never in the per-level arithmetic.
 //!
@@ -104,8 +104,16 @@ pub fn check_edge_labels<'a, S: ListSource<'a>>(
     Ok(())
 }
 
-/// Computes the level's raw (unfiltered, ascending) candidates into the
-/// caller's `out`: the plan's candidate source, then every subtract list.
+/// Computes the level's raw (ascending) candidates into the caller's
+/// `out`: the plan's candidate source, then every subtract list. `tmp` is
+/// the caller's scratch space for multi-way intersections.
+///
+/// Every input — edge lists, the parent's stored candidates — is first
+/// clipped to the open range between the level's clip bounds
+/// ([`LevelPlan::clip_lower`], [`LevelPlan::clip_upper`]), so no merge
+/// scans past a symmetry-breaking bound. The raw set holds exactly the
+/// candidates inside that range; [`passes`] and [`count_final`] still
+/// apply the level's full filters.
 ///
 /// Returns `false`, leaving `out` incomplete, if the source lacked a list.
 pub fn raw_candidates<'a, S: ListSource<'a>>(
@@ -113,26 +121,33 @@ pub fn raw_candidates<'a, S: ListSource<'a>>(
     lp: &LevelPlan,
     matched: &[VertexId],
     out: &mut Vec<VertexId>,
+    tmp: &mut Vec<VertexId>,
 ) -> bool {
     out.clear();
+    let lo = lp.clip_lower.iter().map(|&p| matched[p]).max();
+    let hi = lp.clip_upper.iter().map(|&p| matched[p]).min();
+    let parent = match lp.source {
+        CandidateSource::Scratch => &[][..],
+        _ => set_ops::clip(src.parent_candidates(), lo, hi),
+    };
+    let mut list = |pos: usize| src.list(pos, matched).map(|l| set_ops::clip(l, lo, hi));
     match lp.source {
         CandidateSource::Scratch => {
             let mut lists: [&[VertexId]; MAX_PATTERN_VERTICES] = [&[]; MAX_PATTERN_VERTICES];
             for (slot, &pos) in lists.iter_mut().zip(&lp.intersect) {
-                let Some(list) = src.list(pos, matched) else { return false };
+                let Some(list) = list(pos) else { return false };
                 *slot = list;
             }
-            set_ops::intersect_many_into(&lists[..lp.intersect.len()], out);
+            set_ops::intersect_many_into(&mut lists[..lp.intersect.len()], out, tmp);
         }
-        CandidateSource::ParentIntermediate => out.extend_from_slice(src.parent_candidates()),
+        CandidateSource::ParentIntermediate => out.extend_from_slice(parent),
         CandidateSource::ParentIntermediateAndNew => {
-            let parent = src.parent_candidates();
-            let Some(new) = src.list(lp.position - 1, matched) else { return false };
+            let Some(new) = list(lp.position - 1) else { return false };
             set_ops::intersect_into(parent, new, out);
         }
     }
     for &pos in &lp.subtract {
-        let Some(list) = src.list(pos, matched) else { return false };
+        let Some(list) = list(pos) else { return false };
         set_ops::subtract_in_place(out, list);
     }
     true
@@ -164,19 +179,11 @@ pub fn count_final<'a, S: ListSource<'a>>(
     if lp.label.is_some() || !lp.edge_labels.is_empty() {
         return raw.iter().filter(|&&c| passes(src, lp, matched, c)).count() as u64;
     }
-    let lo: Option<VertexId> = lp.lower.iter().map(|&p| matched[p]).max();
-    let hi: Option<VertexId> = lp.upper.iter().map(|&p| matched[p]).min();
-    let begin = lo.map_or(0, |b| raw.partition_point(|&c| c <= b));
-    let end = hi.map_or(raw.len(), |b| raw.partition_point(|&c| c < b));
-    if begin >= end {
-        return 0;
-    }
-    let in_range = |m: VertexId| lo.is_none_or(|b| m > b) && hi.is_none_or(|b| m < b);
-    let collisions = lp.distinct.iter().filter(|&&p| {
-        let m = matched[p];
-        in_range(m) && set_ops::contains(raw, m)
-    });
-    (end - begin - collisions.count()) as u64
+    let lo = lp.lower.iter().map(|&p| matched[p]).max();
+    let hi = lp.upper.iter().map(|&p| matched[p]).min();
+    let window = set_ops::clip(raw, lo, hi);
+    let collisions = lp.distinct.iter().filter(|&&p| set_ops::contains(window, matched[p]));
+    (window.len() - collisions.count()) as u64
 }
 
 /// Embeddings contributed under the IEP shortcut by a second-to-last
@@ -203,6 +210,8 @@ mod tests {
             distinct: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
+            clip_lower: Vec::new(),
+            clip_upper: Vec::new(),
             label: None,
             edge_labels: Vec::new(),
             source: CandidateSource::Scratch,
@@ -242,15 +251,15 @@ mod tests {
         lp.intersect = vec![0, 1];
         let mut raw = Vec::new();
         let mut src = GraphSource { graph: &g, parent: &[] };
-        assert!(raw_candidates(&mut src, &lp, &[0, 1], &mut raw));
+        assert!(raw_candidates(&mut src, &lp, &[0, 1], &mut raw, &mut Vec::new()));
         assert_eq!(raw, vec![2, 3, 4]);
         lp.subtract = vec![2];
-        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw));
+        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw, &mut Vec::new()));
         // Subtraction keeps vertex 2 itself: injectivity is a filter.
         assert_eq!(raw, vec![2, 3]);
         // N(3) = {0, 1} removes nothing; N(4) = {0, 1, 2} removes 2.
         lp.subtract = vec![2, 3];
-        assert!(raw_candidates(&mut src, &lp, &[0, 1, 3, 4], &mut raw));
+        assert!(raw_candidates(&mut src, &lp, &[0, 1, 3, 4], &mut raw, &mut Vec::new()));
         assert_eq!(raw, vec![3, 4]);
     }
 
@@ -262,11 +271,11 @@ mod tests {
         let mut raw = Vec::new();
         let mut lp = level(3);
         lp.source = CandidateSource::ParentIntermediate;
-        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw));
+        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw, &mut Vec::new()));
         assert_eq!(raw, parent);
         // N(2) in K5 excludes 2 itself.
         lp.source = CandidateSource::ParentIntermediateAndNew;
-        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw));
+        assert!(raw_candidates(&mut src, &lp, &[0, 1, 2], &mut raw, &mut Vec::new()));
         assert_eq!(raw, vec![3, 4]);
     }
 
@@ -276,7 +285,7 @@ mod tests {
         let mut src = Partial { lists: &lists, asked: Vec::new() };
         let mut lp = level(3);
         lp.intersect = vec![0, 1, 2];
-        assert!(!raw_candidates(&mut src, &lp, &[0, 1, 2], &mut Vec::new()));
+        assert!(!raw_candidates(&mut src, &lp, &[0, 1, 2], &mut Vec::new(), &mut Vec::new()));
         assert_eq!(src.asked, vec![0, 1], "stops asking after the first missing list");
     }
 

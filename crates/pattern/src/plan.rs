@@ -51,6 +51,14 @@ pub struct LevelPlan {
     /// Positions whose matched vertex the candidate must be below
     /// (symmetry-breaking `<` bounds).
     pub upper: Vec<usize>,
+    /// The `lower` positions that may clip this level's raw candidate set
+    /// before it is computed: those shared with every later level that
+    /// reads the set as a stored intermediate (see [`Self::clip_upper`]).
+    pub clip_lower: Vec<usize>,
+    /// The `upper` positions that may clip the raw candidate set. A
+    /// stored intermediate feeds the levels after this one, so a bound
+    /// clips it only if every reading level has that bound as well.
+    pub clip_upper: Vec<usize>,
     /// Required label of the candidate, for labeled patterns.
     pub label: Option<Label>,
     /// Required **edge** labels: `(position, label)` pairs meaning the
@@ -204,6 +212,8 @@ impl MatchingPlan {
                 intersect,
                 subtract,
                 distinct,
+                clip_lower: lower.clone(),
+                clip_upper: upper.clone(),
                 lower,
                 upper,
                 label: pattern.label(v),
@@ -239,6 +249,18 @@ impl MatchingPlan {
                         prev.store_intermediate = true;
                     }
                 }
+            }
+        }
+
+        // Clip bounds, last level first: a level that stores its raw set
+        // keeps only the bounds its reader clips to as well, so the chain
+        // of reuse levels still finds every candidate it needs.
+        for i in (0..levels.len().saturating_sub(1)).rev() {
+            if levels[i].store_intermediate {
+                let (cur, next) = levels.split_at_mut(i + 1);
+                let (cur, next) = (&mut cur[i], &next[0]);
+                cur.clip_lower.retain(|p| next.clip_lower.contains(p));
+                cur.clip_upper.retain(|p| next.clip_upper.contains(p));
             }
         }
 
@@ -643,6 +665,54 @@ mod tests {
         let opts =
             PlanOptions { order: OrderChoice::Given(vec![0, 2, 1]), ..PlanOptions::default() };
         assert!(MatchingPlan::compile(&Pattern::path(3), &opts).is_err());
+    }
+
+    /// Clip bounds of every connected 3–6-vertex pattern under both
+    /// client systems: a subset of the level's own bounds and of the
+    /// bounds of every later level that reads its stored candidates.
+    #[test]
+    fn clip_bounds_hold_for_every_reader_of_a_stored_set() {
+        let subset = |a: &[usize], b: &[usize]| a.iter().all(|p| b.contains(p));
+        let mut narrower_than_own = 0;
+        for k in 3..=6 {
+            for p in crate::genpat::connected_patterns(k) {
+                for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+                    let plan = MatchingPlan::compile(&p, &opts).unwrap();
+                    let levels = plan.levels();
+                    for (i, lp) in levels.iter().enumerate() {
+                        assert!(subset(&lp.clip_lower, &lp.lower), "{p} level {i}");
+                        assert!(subset(&lp.clip_upper, &lp.upper), "{p} level {i}");
+                        // Stored sets are read by the next level, and on
+                        // down the chain while each reader stores again.
+                        let mut j = i;
+                        while levels[j].store_intermediate {
+                            j += 1;
+                            let reader = &levels[j];
+                            assert_ne!(reader.source, CandidateSource::Scratch);
+                            assert!(subset(&lp.clip_lower, &reader.lower), "{p} level {i}");
+                            assert!(subset(&lp.clip_upper, &reader.upper), "{p} level {i}");
+                        }
+                        if lp.clip_lower != lp.lower || lp.clip_upper != lp.upper {
+                            narrower_than_own += 1;
+                        }
+                    }
+                }
+            }
+        }
+        // The reuse-chain rule is not vacuous: many levels would drop
+        // candidates a reader needs if they clipped to their own bounds.
+        assert!(narrower_than_own > 100, "{narrower_than_own} levels narrowed");
+    }
+
+    #[test]
+    fn diamond_stored_set_is_not_clipped_to_its_own_bound() {
+        // P4[0-1,0-2,1-2,0-3,1-3]: position 1 stores N(v0) for position 2
+        // (N(v0) ∩ N(v1)), which has no bound on v0.
+        let plan = MatchingPlan::compile(&Pattern::diamond(), &PlanOptions::automine()).unwrap();
+        let l1 = &plan.levels()[0];
+        assert!(l1.store_intermediate, "{}", plan.describe());
+        assert_eq!(l1.lower, vec![0], "{}", plan.describe());
+        assert!(l1.clip_lower.is_empty() && l1.clip_upper.is_empty(), "{}", plan.describe());
     }
 
     #[test]

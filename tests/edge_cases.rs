@@ -128,3 +128,20 @@ fn repeated_runs_are_deterministic() {
         assert_eq!(count(&g, &p, 4, EngineConfig::default()), first);
     }
 }
+
+#[test]
+fn gpm_help_prints_the_usage_and_exits_zero() {
+    use khuzdul_repro::apps::cli;
+    for flag in ["--help", "-h"] {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        assert_eq!(cli::main(&[flag.to_string()], &mut out, &mut err), 0, "{flag}");
+        let usage = String::from_utf8(out).unwrap();
+        assert!(usage.contains("--pattern"), "{usage}");
+        assert!(err.is_empty(), "{flag}");
+    }
+    // Errors still exit 2 and point at --help.
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    assert_eq!(cli::main(&["--bogus".to_string()], &mut out, &mut err), 2);
+    assert!(out.is_empty());
+    assert!(String::from_utf8(err).unwrap().contains("--help"));
+}

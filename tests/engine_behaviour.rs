@@ -9,7 +9,7 @@ use khuzdul_repro::engine::{Engine, EngineConfig};
 use khuzdul_repro::graph::partition::PartitionedGraph;
 use khuzdul_repro::graph::{datasets::DatasetId, gen};
 use khuzdul_repro::pattern::plan::{MatchingPlan, PlanOptions};
-use khuzdul_repro::pattern::{oracle, Pattern};
+use khuzdul_repro::pattern::{interp, oracle, Pattern};
 
 fn engine_with(g: &gpm_graph::Graph, machines: usize, cfg: EngineConfig) -> Engine {
     Engine::new(PartitionedGraph::new(g, machines, 1), cfg)
@@ -25,6 +25,28 @@ fn tiny_chunks_still_complete_deep_patterns() {
     let plan = MatchingPlan::compile(&p, &PlanOptions::automine()).unwrap();
     assert_eq!(engine.count(&plan).count, expect);
     engine.shutdown();
+}
+
+#[test]
+fn clipped_stored_candidates_match_the_oracle() {
+    // The diamond and the tailed triangle store candidate sets for reuse
+    // levels whose bounds differ from the storing level's own. Chunks of
+    // two embeddings pause extensions mid-set, so resumes index into the
+    // clipped raw sets.
+    let g = gen::barabasi_albert(120, 4, 9);
+    for (p, pinned) in [(Pattern::diamond(), 1044), (Pattern::tailed_triangle(), 12221)] {
+        let expect = oracle::count_subgraphs(&g, &p, false);
+        assert_eq!(expect, pinned, "{p}");
+        for opts in [PlanOptions::automine(), PlanOptions::graphpi()] {
+            let plan = MatchingPlan::compile(&p, &opts).unwrap();
+            assert_eq!(interp::count_embeddings(&g, &plan), expect, "{p}");
+            assert_eq!(interp::count_embeddings_fast(&g, &plan), expect, "{p}");
+            let engine =
+                engine_with(&g, 3, EngineConfig { chunk_capacity: 2, ..EngineConfig::default() });
+            assert_eq!(engine.count(&plan).count, expect, "{p}");
+            engine.shutdown();
+        }
+    }
 }
 
 #[test]
