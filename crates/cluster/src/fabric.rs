@@ -135,14 +135,12 @@ impl Liveness {
         }
         let deadline = Instant::now() + REROUTE_GRACE;
         loop {
-            {
-                let holders = self.holders.read();
-                let mut live = holders[owner].iter().copied().filter(|&h| !self.is_dead(h));
-                let n = live.clone().count();
-                if n > 0 {
-                    let pick = (self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize) % n;
-                    return Ok(live.nth(pick).expect("live holder in range"));
-                }
+            // One liveness snapshot: a holder that dies mid-pick must not
+            // shrink the list between counting it and indexing into it.
+            let live = self.live_holders(owner);
+            if !live.is_empty() {
+                let pick = self.rr[owner].fetch_add(1, Ordering::Relaxed) as usize;
+                return Ok(live[pick % live.len()]);
             }
             if !self.rebalance_armed.load(Ordering::SeqCst)
                 || self.lost[owner].load(Ordering::SeqCst)
@@ -1657,8 +1655,7 @@ mod tests {
             assert_eq!(lists.list(0), g.neighbors(v));
         }
         let m = service.metrics();
-        let (s2, s3) =
-            (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
+        let (s2, s3) = (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
         assert!(s2 > 0 && s3 > 0, "one holder starved: part2={s2} part3={s3}");
         let (b2, b3) = (m.part(2).rerouted_served_bytes(), m.part(3).rerouted_served_bytes());
         let max_share = b2.max(b3) as f64 / (b2 + b3) as f64;

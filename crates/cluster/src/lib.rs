@@ -39,7 +39,9 @@ pub mod post;
 pub mod transport;
 pub mod work;
 
-pub use control::{ControlClient, ControlLedgerConfig, ControlLedgerService};
+pub use control::{
+    ControlClient, ControlLedgerConfig, ControlLedgerService, Ledger, LedgerStateSummary,
+};
 pub use fabric::{
     EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch, RetryPolicy,
 };

@@ -6,17 +6,17 @@
 //! per-part [`gpm_cluster::ControlClient`] to the run's single
 //! [`gpm_cluster::ControlLedgerService`] responder thread, with the data
 //! fabric's retry/backoff discipline and deterministic fault injection.
-//! The shared-memory carrier ([`crate::scheduler::SharedLedger`]) and
-//! this one are interchangeable per run and produce bit-identical counts;
-//! `EngineConfig::control` picks between them.
+//! The responder runs the same [`gpm_cluster::Ledger`] state machine the
+//! shared-memory carrier ([`crate::scheduler::SharedLedger`]) locks in
+//! place, so the two carriers are interchangeable per run and produce
+//! bit-identical counts; `EngineConfig::control` picks between them.
 
 use crate::incident::{ledger_json, CaptureSections, IncidentManager, Trigger, TriggerKind};
-use crate::scheduler::{ClaimSource, ControlPlane, LedgerStateSummary};
+use crate::scheduler::ControlPlane;
 use gpm_cluster::{
     ClusterMetrics, ControlClient, ControlLedgerConfig, ControlLedgerService, CtrlClaimSource,
-    CtrlOp, CtrlPayload, FaultPlan, FetchError, RetryPolicy,
+    CtrlOp, CtrlPayload, FaultPlan, FetchError, LedgerStateSummary, RetryPolicy,
 };
-use gpm_graph::partition::GraphPart;
 use gpm_graph::VertexId;
 use gpm_obs::Recorder;
 use parking_lot::Mutex;
@@ -26,8 +26,7 @@ use std::time::Duration;
 /// Which carrier runs the cross-part work-coordination protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControlMode {
-    /// Shared-memory atomics inside the process (the original
-    /// `RootLedger`; the default).
+    /// The ledger behind a mutex in shared memory (the default).
     #[default]
     Shared,
     /// Typed control messages over the cluster's channel layer, with
@@ -72,88 +71,19 @@ pub(crate) struct MsgLedger {
 }
 
 impl MsgLedger {
-    /// A message ledger over each part's owned roots (the normal pass).
-    #[allow(clippy::too_many_arguments)]
+    /// Starts a responder over a [`gpm_cluster::Ledger`] of `roots`
+    /// (one claimable root list per part) configured by `cfg`, and one
+    /// client per part.
     pub(crate) fn start(
-        parts: &[Arc<GraphPart>],
-        stealing: bool,
-        batch: usize,
-        numa: Option<usize>,
-        control: &ControlConfig,
-        query: u64,
-        metrics: &ClusterMetrics,
-        obs: Arc<Recorder>,
-        incidents: Option<Arc<IncidentManager>>,
-    ) -> MsgLedger {
-        let roots = parts.iter().map(|p| p.owned().to_vec()).collect();
-        MsgLedger::boot(
-            roots,
-            Vec::new(),
-            stealing,
-            batch,
-            numa,
-            control,
-            query,
-            metrics,
-            obs,
-            incidents,
-        )
-    }
-
-    /// A message ledger for a *placed* recovery pass: each part's share
-    /// of the lost roots (from the load-weighted placement) becomes its
-    /// own root range on the responder, and the spill starts empty —
-    /// recovery work lands where the placement decided, and parts that
-    /// drain their share early steal the rest through the ordinary
-    /// victim path. No cluster-side protocol change: the responder
-    /// already coordinates arbitrary per-part root ranges.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn placed_recovery(
-        assignments: Vec<Vec<VertexId>>,
-        batch: usize,
-        control: &ControlConfig,
-        query: u64,
-        metrics: &ClusterMetrics,
-        obs: Arc<Recorder>,
-        incidents: Option<Arc<IncidentManager>>,
-    ) -> MsgLedger {
-        MsgLedger::boot(
-            assignments,
-            Vec::new(),
-            true,
-            batch,
-            None,
-            control,
-            query,
-            metrics,
-            obs,
-            incidents,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn boot(
         roots: Vec<Vec<VertexId>>,
-        spill: Vec<VertexId>,
-        stealing: bool,
-        batch: usize,
-        numa: Option<usize>,
-        control: &ControlConfig,
-        query: u64,
+        cfg: ControlLedgerConfig,
         metrics: &ClusterMetrics,
         obs: Arc<Recorder>,
         incidents: Option<Arc<IncidentManager>>,
     ) -> MsgLedger {
         let n = roots.len();
-        let cfg = ControlLedgerConfig {
-            stealing,
-            batch: batch.max(1),
-            numa,
-            retry: control.retry,
-            fault: control.fault.clone(),
-            query,
-        };
-        let service = ControlLedgerService::start(roots, spill, cfg, metrics, obs);
+        let (stealing, query) = (cfg.stealing, cfg.query);
+        let service = ControlLedgerService::start(roots, cfg, metrics, obs);
         let clients = (0..n).map(|p| service.client(p)).collect();
         MsgLedger {
             _service: service,
@@ -211,17 +141,10 @@ impl ControlPlane for MsgLedger {
         &self,
         me: usize,
         own_batch: usize,
-    ) -> Result<Option<(ClaimSource, Vec<VertexId>)>, FetchError> {
+    ) -> Result<Option<(CtrlClaimSource, Vec<VertexId>)>, FetchError> {
         self.check_poison()?;
         match self.clients[me].call(CtrlOp::Claim { own_batch })? {
-            CtrlPayload::Claimed { source, roots } => {
-                let source = match source {
-                    CtrlClaimSource::Own => ClaimSource::Own,
-                    CtrlClaimSource::Spill => ClaimSource::Spill,
-                    CtrlClaimSource::Stolen(v) => ClaimSource::Stolen(v),
-                };
-                Ok(Some((source, roots)))
-            }
+            CtrlPayload::Claimed { source, roots } => Ok(Some((source, roots))),
             CtrlPayload::NoWork => Ok(None),
             other => {
                 debug_assert!(false, "claim answered with {other:?}");
@@ -312,72 +235,133 @@ impl ControlPlane for MsgLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpm_graph::gen;
-    use gpm_graph::partition::PartitionedGraph;
+    use crate::scheduler::SharedLedger;
+    use gpm_cluster::Ledger;
 
-    fn msg_ledger(stealing: bool) -> MsgLedger {
-        let g = gen::complete(12);
-        let pg = PartitionedGraph::new(&g, 2, 1);
-        let parts: Vec<_> = (0..2).map(|p| pg.part_arc(p)).collect();
-        MsgLedger::start(
-            &parts,
-            stealing,
-            4,
-            None,
-            &ControlConfig::default(),
-            0,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
-            None,
-        )
+    /// One step of a seeded op script. Arguments that depend on earlier
+    /// replies (which roots to donate, whether a batch is held) are
+    /// derived by [`drive`] from the replies themselves, so carriers that
+    /// agree stay in lockstep and carriers that diverge show it in the
+    /// outcome log.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Claim { me: usize, own_batch: usize },
+        Donate { me: usize },
+        BatchDone { me: usize },
+        Starving { me: usize, on: bool },
+        Finished { me: usize },
     }
 
-    #[test]
-    fn msg_ledger_claims_and_quiesces_like_the_shared_one() {
-        let ledger = msg_ledger(true);
-        let mut claimed = 0usize;
-        let mut batches = 0usize;
-        while let Some((_, roots)) = ledger.claim(0, 4).unwrap() {
-            claimed += roots.len();
-            batches += 1;
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Claim(Option<(CtrlClaimSource, Vec<VertexId>)>),
+        Starving(usize),
+        Finished(bool),
+        Lost(Vec<VertexId>),
+    }
+
+    const PARTS: usize = 4;
+
+    fn script(seed: u64, len: usize) -> Vec<Step> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as usize
+        };
+        (0..len)
+            .map(|_| {
+                let me = next(PARTS as u64);
+                match next(10) {
+                    0..=3 => Step::Claim { me, own_batch: [0, 1, 3, 8, 64][next(5)] },
+                    4 => Step::Donate { me },
+                    5 | 6 => Step::BatchDone { me },
+                    7 | 8 => Step::Starving { me, on: next(2) == 0 },
+                    _ => Step::Finished { me },
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `steps` through `ledger`, then reconstructs the lost roots of
+    /// the `dead` parts, logging every reply.
+    fn drive(ledger: &dyn ControlPlane, steps: &[Step], dead: &[usize]) -> Vec<Outcome> {
+        let mut held: Vec<Vec<Vec<VertexId>>> = vec![Vec::new(); PARTS];
+        let mut log = Vec::new();
+        for &step in steps {
+            match step {
+                Step::Claim { me, own_batch } => {
+                    let claim = ledger.claim(me, own_batch).unwrap();
+                    if let Some((_, roots)) = &claim {
+                        held[me].push(roots.clone());
+                    }
+                    log.push(Outcome::Claim(claim));
+                }
+                Step::Donate { me } => {
+                    if let Some(batch) = held[me].last_mut() {
+                        let tail = batch.split_off(batch.len() / 2);
+                        ledger.donate(me, tail);
+                    }
+                }
+                Step::BatchDone { me } => {
+                    if held[me].pop().is_some() {
+                        ledger.batch_done(me);
+                    }
+                }
+                Step::Starving { me, on } => {
+                    ledger.set_starving(me, on);
+                    log.push(Outcome::Starving(ledger.starving(me)));
+                }
+                Step::Finished { me } => log.push(Outcome::Finished(ledger.finished(me).unwrap())),
+            }
         }
-        assert_eq!(claimed, 12, "part 0 drains everything via own range + steals");
-        assert!(!ledger.finished(0).unwrap(), "outstanding batches block quiescence");
-        for _ in 0..batches {
-            ledger.batch_done(0);
+        log.push(Outcome::Lost(ledger.lost_roots(dead).unwrap()));
+        log.push(Outcome::Finished(ledger.finished(0).unwrap()));
+        log
+    }
+
+    #[test]
+    fn shared_and_msg_carriers_run_the_same_state_machine() {
+        let roots: Vec<Vec<VertexId>> = [20, 0, 13, 5]
+            .iter()
+            .enumerate()
+            .map(|(p, &n)| (0..n).map(|i| 100 * p as VertexId + i).collect())
+            .collect();
+        let msg = |stealing: bool, fault: Option<FaultPlan>| {
+            let cfg = ControlLedgerConfig {
+                stealing,
+                batch: 3,
+                numa: Some(2),
+                retry: RetryPolicy {
+                    max_attempts: 40,
+                    timeout: Duration::from_millis(5),
+                    backoff: Duration::from_micros(50),
+                },
+                fault,
+                query: 0,
+            };
+            MsgLedger::start(
+                roots.clone(),
+                cfg,
+                &ClusterMetrics::new(PARTS, 1),
+                Recorder::disabled(),
+                None,
+            )
+        };
+        for seed in 0..6u64 {
+            let stealing = seed % 3 != 0;
+            let steps = script(seed, 120);
+            let dead = [vec![1], vec![2], vec![0, 3]][seed as usize % 3].clone();
+            let shared = SharedLedger::new(Ledger::new(roots.clone(), stealing, 3, Some(2)));
+            let expect = drive(&shared, &steps, &dead);
+            assert!(expect.iter().any(|o| matches!(o, Outcome::Claim(Some(_)))));
+            assert_eq!(drive(&msg(stealing, None), &steps, &dead), expect, "seed {seed}");
+            // Exactly-once replay: lost replies are answered from the
+            // responder's cache, so drops change no reply.
+            let drops = msg(stealing, Some(FaultPlan::drops(0.25)));
+            assert_eq!(drive(&drops, &steps, &dead), expect, "seed {seed} under drops");
         }
-        assert!(ledger.finished(0).unwrap());
-        assert_eq!(ledger.lost_roots(&[1]).unwrap(), Vec::<VertexId>::new());
-    }
-
-    #[test]
-    fn msg_ledger_without_stealing_serves_only_own_roots() {
-        let ledger = msg_ledger(false);
-        let (source, roots) = ledger.claim(0, 64).unwrap().expect("own range");
-        assert_eq!(source, ClaimSource::Own);
-        assert!(!roots.is_empty());
-        assert!(ledger.claim(0, 64).unwrap().is_none(), "no stealing, no spill");
-    }
-
-    #[test]
-    fn msg_placed_recovery_serves_each_parts_share() {
-        let ledger = MsgLedger::placed_recovery(
-            vec![vec![7, 8], vec![9]],
-            4,
-            &ControlConfig::default(),
-            0,
-            &ClusterMetrics::new(2, 1),
-            Recorder::disabled(),
-            None,
-        );
-        assert!(ledger.stealing(), "placed recovery forces stealing on");
-        let (src, roots) = ledger.claim(0, 4).unwrap().expect("own share");
-        assert_eq!(src, ClaimSource::Own);
-        assert_eq!(roots, vec![7, 8]);
-        let (src, roots) = ledger.claim(0, 4).unwrap().expect("steal part 1's share");
-        assert_eq!(src, ClaimSource::Stolen(1));
-        assert_eq!(roots, vec![9]);
-        assert!(ledger.claim(1, 4).unwrap().is_none());
     }
 
     #[test]
@@ -388,25 +372,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = IncidentConfig { dir: Some(dir.clone()), ..IncidentConfig::default() };
         let incidents = IncidentManager::new(&cfg, FlightRecorder::new(64), "t".to_string());
-        let g = gen::complete(8);
-        let pg = PartitionedGraph::new(&g, 2, 1);
-        let parts: Vec<_> = (0..2).map(|p| pg.part_arc(p)).collect();
-        let control = ControlConfig {
-            mode: ControlMode::Msg,
+        let cfg = ControlLedgerConfig {
+            stealing: true,
+            batch: 4,
             retry: RetryPolicy {
                 max_attempts: 2,
                 timeout: Duration::from_millis(5),
                 backoff: Duration::from_millis(1),
             },
             fault: Some(FaultPlan::drops(1.0)),
+            query: 3,
+            ..ControlLedgerConfig::default()
         };
         let ledger = MsgLedger::start(
-            &parts,
-            true,
-            4,
-            None,
-            &control,
-            3,
+            vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7]],
+            cfg,
             &ClusterMetrics::new(2, 1),
             Recorder::disabled(),
             Some(Arc::clone(&incidents)),
@@ -428,15 +408,5 @@ mod tests {
         );
         assert!(ledger.claim(0, 4).is_err(), "poison surfaces on the next fallible call");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn starving_counts_round_trip() {
-        let ledger = msg_ledger(true);
-        assert_eq!(ledger.starving(0), 0);
-        ledger.set_starving(1, true);
-        assert_eq!(ledger.starving(0), 1);
-        ledger.set_starving(1, false);
-        assert_eq!(ledger.starving(0), 0);
     }
 }

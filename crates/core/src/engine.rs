@@ -12,7 +12,10 @@ use crate::scheduler::{
     place_recovery_roots, ControlPlane, QueryArbiter, SharedLedger, StealConfig, WorkerPool,
 };
 use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
-use gpm_cluster::{ClusterMetrics, EdgeListService, FabricConfig, FetchError, NetworkModel};
+use gpm_cluster::{
+    ClusterMetrics, ControlLedgerConfig, EdgeListService, FabricConfig, FetchError, Ledger,
+    NetworkModel,
+};
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
@@ -645,7 +648,8 @@ impl Engine {
         // its seed batches from (and steals through, when enabled) and
         // one queue-depth gauge per part for the sampler.
         let stealing = self.cfg.steal.enabled && !self.cfg.sequential_parts && parts > 1;
-        let ledger = self.make_ledger(stealing, qid);
+        let owned = (0..parts).map(|p| self.pg.part(p).owned().to_vec()).collect();
+        let ledger = self.make_ledger(owned, stealing, qid);
         let gauges: Vec<Arc<AtomicUsize>> =
             (0..parts).map(|_| Arc::new(AtomicUsize::new(0))).collect();
         // Live progress tracker: the root multiset size is known up front
@@ -807,7 +811,21 @@ impl Engine {
                 &ledger,
             );
             let rts = self.recorder.now_ns();
-            let recovery = self.make_recovery_ledger(lost, qid, &gauges, &all_dead);
+            // Lost roots are *placed*, not spilled: each survivor gets a
+            // share inversely weighted by its current load (queue depth
+            // plus rerouted-fetch service in KiB), so recovery work lands
+            // on the parts not already busy serving the dead part's
+            // traffic. Stealing is forced on, so a bad estimate costs a
+            // steal, never a stall.
+            let metrics = self.service.metrics();
+            let loads: Vec<u64> = (0..parts)
+                .map(|p| {
+                    gauges[p].load(Ordering::Relaxed) as u64
+                        + metrics.part(p).rerouted_served_bytes() / 1024
+                })
+                .collect();
+            let placed = place_recovery_roots(lost, &loads, &all_dead);
+            let recovery = self.make_ledger(placed, true, qid);
             ledgers.push(Arc::clone(&recovery));
             let survivors: Vec<usize> = (0..parts).filter(|p| !all_dead.contains(p)).collect();
             self.run_parts(&mut slots, &mut failure, survivors, |p| make_ctx(p, &recovery));
@@ -904,64 +922,32 @@ impl Engine {
         self.incidents.capture(Trigger { kind, query_id: qid, part, value, detail }, sections);
     }
 
-    /// Builds the run-scoped control plane in the configured carrier:
-    /// the shared-memory ledger or the message-based one over the
-    /// cluster's channel layer. Both enforce the same claim protocol, so
-    /// counts are bit-identical either way.
-    fn make_ledger(&self, stealing: bool, qid: u64) -> Arc<dyn ControlPlane> {
-        let parts: Vec<_> = (0..self.pg.part_count()).map(|p| self.pg.part_arc(p)).collect();
+    /// Builds a run-scoped control plane over `roots` (one claimable
+    /// root list per part) in the configured carrier: a [`Ledger`] behind
+    /// a mutex, or the same state machine inside a message responder.
+    /// The main pass and every recovery round build their ledger here.
+    fn make_ledger(
+        &self,
+        roots: Vec<Vec<VertexId>>,
+        stealing: bool,
+        qid: u64,
+    ) -> Arc<dyn ControlPlane> {
         let batch = self.cfg.steal.batch.max(1);
         let numa = self.cfg.steal.numa.then(|| self.pg.sockets_per_machine().max(1));
         match self.cfg.control.mode {
-            ControlMode::Shared => Arc::new(SharedLedger::new(parts, stealing, batch, numa)),
+            ControlMode::Shared => {
+                Arc::new(SharedLedger::new(Ledger::new(roots, stealing, batch, numa)))
+            }
             ControlMode::Msg => Arc::new(MsgLedger::start(
-                &parts,
-                stealing,
-                batch,
-                numa,
-                &self.cfg.control,
-                qid,
-                self.service.metrics(),
-                Arc::clone(&self.recorder),
-                Some(Arc::clone(&self.incidents)),
-            )),
-        }
-    }
-
-    /// A control plane for a recovery pass, in the same carrier as the
-    /// main pass. Lost roots are **placed**, not spilled: each survivor
-    /// gets a share inversely weighted by its current load (queue depth
-    /// plus rerouted-fetch service in KiB), so recovery work lands on
-    /// the parts that are not already busy serving the dead part's
-    /// traffic. Placed roots are still stealable, so a bad estimate
-    /// costs a steal, never a stall.
-    fn make_recovery_ledger(
-        &self,
-        lost: Vec<VertexId>,
-        qid: u64,
-        gauges: &[Arc<AtomicUsize>],
-        dead: &[usize],
-    ) -> Arc<dyn ControlPlane> {
-        let batch = self.cfg.steal.batch.max(1);
-        let metrics = self.service.metrics();
-        let loads: Vec<u64> = (0..self.pg.part_count())
-            .map(|p| {
-                gauges[p].load(Ordering::Relaxed) as u64
-                    + metrics.part(p).rerouted_served_bytes() / 1024
-            })
-            .collect();
-        let assignments = place_recovery_roots(lost, &loads, dead);
-        match self.cfg.control.mode {
-            ControlMode::Shared => Arc::new(SharedLedger::placed_recovery(
-                (0..self.pg.part_count()).map(|p| self.pg.part_arc(p)).collect(),
-                assignments,
-                batch,
-            )),
-            ControlMode::Msg => Arc::new(MsgLedger::placed_recovery(
-                assignments,
-                batch,
-                &self.cfg.control,
-                qid,
+                roots,
+                ControlLedgerConfig {
+                    stealing,
+                    batch,
+                    numa,
+                    retry: self.cfg.control.retry,
+                    fault: self.cfg.control.fault.clone(),
+                    query: qid,
+                },
                 self.service.metrics(),
                 Arc::clone(&self.recorder),
                 Some(Arc::clone(&self.incidents)),
@@ -1566,7 +1552,10 @@ mod tests {
         let g = gen::erdos_renyi(150, 700, 5);
         let p = Pattern::triangle();
         let expect = oracle::count_subgraphs(&g, &p, false);
-        for steal in [false, true] {
+        let sweep = [ControlMode::Shared, ControlMode::Msg]
+            .into_iter()
+            .flat_map(|mode| [false, true].map(|steal| (mode, steal)));
+        for (mode, steal) in sweep {
             let pg = PartitionedGraph::with_replication(&g, 4, 1, 3);
             let engine = Engine::new(
                 pg,
@@ -1574,6 +1563,7 @@ mod tests {
                     chunk_capacity: 64,
                     steal: StealConfig { enabled: steal, batch: 8, ..StealConfig::default() },
                     obs: ObsConfig::enabled(),
+                    control: ControlConfig { mode, ..ControlConfig::default() },
                     fabric: FabricConfig {
                         retry: crash_retry(),
                         fault: Some(FaultPlan {
@@ -1596,16 +1586,16 @@ mod tests {
                 },
             );
             let run = engine.try_count(&plan(&p)).expect("replication 3 must mask two crashes");
-            assert_eq!(run.count, expect, "steal={steal}");
-            assert_eq!(run.failures.parts_failed, 2, "steal={steal}");
-            assert!(run.failures.reexecuted_roots > 0, "steal={steal}");
+            assert_eq!(run.count, expect, "{mode:?} steal={steal}");
+            assert_eq!(run.failures.parts_failed, 2, "{mode:?} steal={steal}");
+            assert!(run.failures.reexecuted_roots > 0, "{mode:?} steal={steal}");
             // Both dead parts' partial results are discarded; survivors
             // absorb the re-executed roots.
-            assert_eq!(run.per_part[1].count + run.per_part[2].count, 0, "steal={steal}");
+            assert_eq!(run.per_part[1].count + run.per_part[2].count, 0, "{mode:?} steal={steal}");
             let spans = engine.recorder().spans();
             assert!(
                 spans.iter().any(|s| s.kind == SpanKind::Recovery),
-                "steal={steal}: no recovery span"
+                "{mode:?} steal={steal}: no recovery span"
             );
             engine.shutdown();
         }

@@ -25,7 +25,8 @@
 //! branch. Bundles are schema-checked by [`validate_bundle`] — the same
 //! check `gpm incident show` and the chaos CI job run.
 
-use crate::scheduler::{ControlPlane, LedgerStateSummary};
+use crate::scheduler::ControlPlane;
+use gpm_cluster::LedgerStateSummary;
 use gpm_obs::{FlightKind, FlightRecorder, IncidentSummary, QueryProgress};
 use parking_lot::Mutex;
 use serde::Value;
@@ -644,6 +645,7 @@ impl Drop for StallWatchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpm_cluster::Ledger;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -756,7 +758,8 @@ mod tests {
         };
         let m = IncidentManager::new(&cfg, FlightRecorder::new(64), config_fingerprint("t"));
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let ledger: Arc<dyn ControlPlane> = Arc::new(SharedLedger::new(Vec::new(), false, 1, None));
+        let ledger: Arc<dyn ControlPlane> =
+            Arc::new(SharedLedger::new(Ledger::new(Vec::new(), false, 1, None)));
         let progress = Some(Arc::new(QueryProgress::new(9, 50, 1)));
         let wd =
             StallWatchdog::start(&m, Arc::clone(&heartbeat), 9, ledger, progress).expect("starts");
@@ -783,7 +786,7 @@ mod tests {
     fn stall_watchdog_declines_without_window_or_dir() {
         let heartbeat = Arc::new(AtomicU64::new(0));
         let mk_ledger = || -> Arc<dyn ControlPlane> {
-            Arc::new(crate::scheduler::SharedLedger::new(Vec::new(), false, 1, None))
+            Arc::new(crate::scheduler::SharedLedger::new(Ledger::new(Vec::new(), false, 1, None)))
         };
         // No window.
         let m = manager(Some(temp_dir("nowindow")), 8);

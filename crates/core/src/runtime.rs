@@ -16,10 +16,10 @@
 use crate::cache::SharedCache;
 use crate::chunk::{Chunk, Emb, ListRef, NO_PARENT};
 use crate::engine::EngineConfig;
-use crate::scheduler::{ClaimSource, ControlPlane, Gate, QueryArbiter};
+use crate::scheduler::{ControlPlane, Gate, QueryArbiter};
 use crate::stats::PartStats;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use gpm_cluster::{EdgeListClient, FetchError, PendingFetch};
+use gpm_cluster::{CtrlClaimSource, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::GraphPart;
 use gpm_graph::{Label, VertexId};
 use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
@@ -373,10 +373,10 @@ impl<'e> PartRun<'e> {
     /// roots are usually owned elsewhere: they seed as [`ListRef::Pending`]
     /// and their edge lists flow through the fabric during resolve — data
     /// moves, computation does not.
-    fn seed_batch_into_chunk(&mut self, source: ClaimSource, roots: &[VertexId]) {
+    fn seed_batch_into_chunk(&mut self, source: CtrlClaimSource, roots: &[VertexId]) {
         let ts = self.obs.start();
         self.ctx.heartbeat.fetch_add(1, Ordering::Relaxed);
-        if let ClaimSource::Stolen(victim) = source {
+        if let CtrlClaimSource::Stolen(victim) = source {
             self.obs.instant(SpanKind::Steal, victim as u64);
             self.ctx.obs.flight().record(
                 FlightKind::Steal,
@@ -409,14 +409,14 @@ impl<'e> PartRun<'e> {
         chunk.resolved_upto = if any_pending { 0 } else { seeded };
         self.outstanding += 1;
         self.outstanding_roots += roots.len();
-        if !matches!(source, ClaimSource::Own) {
+        if !matches!(source, CtrlClaimSource::Own) {
             self.roots_stolen += roots.len() as u64;
         }
         if let Some(p) = &self.ctx.progress {
             p.record_claimed(
                 self.ctx.my_part,
                 roots.len() as u64,
-                !matches!(source, ClaimSource::Own),
+                !matches!(source, CtrlClaimSource::Own),
             );
         }
         self.obs.span(SpanKind::SeedRoots, ts, seeded as u64);
