@@ -11,7 +11,7 @@ use gpm_baselines::single::SingleMachine;
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::{gen, Graph};
-use gpm_obs::{DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
+use gpm_obs::{Counter, DiffThresholds, Recorder, RunReport, REPORT_SCHEMA_VERSION};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
 use khuzdul::{
@@ -1371,20 +1371,24 @@ fn run_count(args: &[String]) -> Result<String, String> {
     );
     let _ = writeln!(out, "count    {}", stats.count);
     let _ = writeln!(out, "elapsed  {:?}", stats.elapsed);
+    let c = &stats.counters;
     let _ = writeln!(
         out,
         "traffic  {} bytes in {} fetches ({} coalesced, {} retries)",
-        stats.traffic.network_bytes,
-        stats.traffic.requests,
-        stats.traffic.coalesced,
-        stats.traffic.retries
+        c[Counter::NetworkBytes],
+        c[Counter::FetchRequests],
+        c[Counter::Coalesced],
+        c[Counter::Retries]
     );
     if stats.failures.parts_failed > 0 {
         let f = &stats.failures;
         let _ = writeln!(
             out,
             "failure  {} part(s) failed; {} fetches re-routed ({} bytes); {} roots re-executed",
-            f.parts_failed, f.rerouted_requests, f.rerouted_bytes, f.reexecuted_roots
+            f.parts_failed,
+            c[Counter::ReroutedRequests],
+            c[Counter::ReroutedBytes],
+            f.reexecuted_roots
         );
     }
     let reb = &ex.report.rebalance;
@@ -1873,19 +1877,18 @@ mod tests {
     /// regression lines, and loosened thresholds let it back through.
     #[test]
     fn report_diff_subcommand_gates_regressions() {
-        use gpm_obs::{CriticalPathFractions, CriticalPathSection, PartReport, TrafficTotals};
+        use gpm_obs::{CounterValues, CriticalPathFractions, CriticalPathSection, PartReport};
+        let mut counters = CounterValues::default();
+        counters[Counter::FetchRequests] = 900;
+        counters[Counter::CacheHits] = 500;
+        counters[Counter::CacheMisses] = 400;
+        counters[Counter::NetworkBytes] = 1 << 18;
         let mut base = RunReport {
             schema_version: REPORT_SCHEMA_VERSION,
             system: "khuzdul-automine".into(),
             count: 500,
             elapsed_ns: 1_000_000,
-            traffic: TrafficTotals {
-                fetch_requests: 900,
-                cache_hits: 500,
-                cache_misses: 400,
-                network_bytes: 1 << 18,
-                ..Default::default()
-            },
+            counters,
             per_part: (0..4)
                 .map(|p| PartReport {
                     part: p,
@@ -1910,7 +1913,6 @@ mod tests {
             spans: Default::default(),
             failures: Default::default(),
             rebalance: Default::default(),
-            control: Default::default(),
             queries: Vec::new(),
             incidents: Vec::new(),
         };

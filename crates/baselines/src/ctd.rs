@@ -18,7 +18,7 @@ use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
 use gpm_pattern::kernel::{self, ListSource};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
-use khuzdul::{PartStats, RunStats, TrafficSummary};
+use khuzdul::{PartStats, RunStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -123,19 +123,8 @@ impl CtdCluster {
             }
         })
         .expect("ctd scope");
-        RunStats {
-            count: total.into_inner(),
-            elapsed: t0.elapsed(),
-            per_part,
-            traffic: TrafficSummary {
-                network_bytes: post.metrics().total_network_bytes(),
-                cross_socket_bytes: post.metrics().total_cross_socket_bytes(),
-                requests: post.metrics().total_requests(),
-                ..TrafficSummary::default()
-            },
-            failures: Default::default(),
-            control: Default::default(),
-        }
+        let counters = post.metrics().totals();
+        RunStats::new(total.into_inner(), t0.elapsed(), per_part, counters, Default::default())
     }
 }
 
@@ -286,6 +275,7 @@ impl<'a> ListSource<'a> for JobLists<'a> {
 mod tests {
     use super::*;
     use gpm_graph::gen;
+    use gpm_obs::Counter;
     use gpm_pattern::oracle;
 
     fn count_of(g: &gpm_graph::Graph, machines: usize, p: &Pattern) -> RunStats {
@@ -362,7 +352,7 @@ mod tests {
         );
         let report = sys.report(&stats);
         assert_eq!(report.system, "ctd");
-        assert_eq!(report.traffic.network_bytes, stats.traffic.network_bytes);
+        assert_eq!(report.counters[Counter::NetworkBytes], stats.traffic.network_bytes);
         gpm_obs::validate_report(&report.to_json()).expect("ctd report must validate");
     }
 }

@@ -22,7 +22,7 @@ use gpm_obs::{ObsHandle, Recorder, RunReport, SpanKind};
 use gpm_pattern::kernel::{self, ListSource};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
-use khuzdul::{PartStats, RunStats, TrafficSummary};
+use khuzdul::{PartStats, RunStats};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -126,22 +126,9 @@ impl GThinker {
         })
         .expect("gthinker scope");
         let elapsed = t0.elapsed();
-        let m = service.metrics();
-        let traffic = TrafficSummary {
-            network_bytes: m.total_network_bytes(),
-            cross_socket_bytes: m.total_cross_socket_bytes(),
-            requests: m.total_requests(),
-            ..TrafficSummary::default()
-        };
+        let counters = service.metrics().totals();
         service.shutdown();
-        RunStats {
-            count: total.into_inner(),
-            elapsed,
-            per_part,
-            traffic,
-            failures: Default::default(),
-            control: Default::default(),
-        }
+        RunStats::new(total.into_inner(), elapsed, per_part, counters, Default::default())
     }
 }
 
@@ -433,6 +420,7 @@ impl<'a> ListSource<'a> for TaskLists<'a, '_> {
 mod tests {
     use super::*;
     use gpm_graph::gen;
+    use gpm_obs::Counter;
     use gpm_pattern::oracle;
 
     fn run(g: &gpm_graph::Graph, machines: usize, p: &Pattern) -> RunStats {
@@ -498,7 +486,7 @@ mod tests {
         assert!(spans.iter().any(|s| s.kind == SpanKind::Job), "no task probes");
         let report = sys.report(&stats);
         assert_eq!(report.system, "gthinker");
-        assert_eq!(report.traffic.fetch_requests, stats.traffic.requests);
+        assert_eq!(report.counters[Counter::FetchRequests], stats.traffic.requests);
         gpm_obs::validate_report(&report.to_json()).expect("gthinker report must validate");
     }
 }

@@ -17,7 +17,7 @@
 use gpm_graph::Graph;
 use gpm_pattern::interp;
 use gpm_pattern::plan::MatchingPlan;
-use khuzdul::{PartStats, RunStats, TrafficSummary};
+use khuzdul::{Counter, CounterValues, PartStats, RunStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -142,20 +142,12 @@ impl ReplicatedCluster {
         })
         .expect("cluster scope");
         let machines = self.cfg.machines as u64;
-        RunStats {
-            count: total.into_inner(),
-            elapsed: t0.elapsed(),
-            per_part,
-            traffic: TrafficSummary {
-                // Control traffic only; block requests from non-
-                // coordinator machines cross the network.
-                network_bytes: control_msgs.into_inner() * CONTROL_MSG_BYTES * (machines - 1)
-                    / machines.max(1),
-                ..TrafficSummary::default()
-            },
-            failures: Default::default(),
-            control: Default::default(),
-        }
+        let mut counters = CounterValues::default();
+        // Control traffic only; block requests from non-coordinator
+        // machines cross the network.
+        counters[Counter::NetworkBytes] =
+            control_msgs.into_inner() * CONTROL_MSG_BYTES * (machines - 1) / machines.max(1);
+        RunStats::new(total.into_inner(), t0.elapsed(), per_part, counters, Default::default())
     }
 }
 

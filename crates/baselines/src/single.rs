@@ -148,9 +148,7 @@ impl SingleMachine {
             count: total.into_inner(),
             elapsed,
             per_part: vec![PartStats { count: 0, compute: elapsed, ..PartStats::default() }],
-            traffic: Default::default(),
-            failures: Default::default(),
-            control: Default::default(),
+            ..RunStats::default()
         }
     }
 }

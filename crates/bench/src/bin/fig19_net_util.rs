@@ -15,7 +15,7 @@ use gpm_cluster::NetworkModel;
 use gpm_graph::datasets::DatasetId;
 use gpm_graph::partition::PartitionedGraph;
 use gpm_pattern::plan::PlanOptions;
-use khuzdul::{Engine, EngineConfig};
+use khuzdul::{Counter, Engine, EngineConfig};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -47,14 +47,14 @@ fn main() {
                 app.name().to_string(),
                 id.abbr().to_string(),
                 fmt_duration(run.elapsed),
-                fmt_bytes(report.traffic.network_bytes),
+                fmt_bytes(report.counters[Counter::NetworkBytes]),
                 format!("{:.2}%", util * 100.0),
             ]);
             rows.push(Row {
                 app: app.name(),
                 graph: id.abbr(),
                 runtime_s: report.elapsed_ns as f64 / 1e9,
-                network_bytes: report.traffic.network_bytes,
+                network_bytes: report.counters[Counter::NetworkBytes],
                 utilization: util,
             });
         }

@@ -4,8 +4,9 @@ use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::Graph;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
-use khuzdul::{Engine, EngineConfig, RunStats};
+use khuzdul::{Counter, CounterValues, Engine, EngineConfig, PartStats, RunStats};
 use serde::Serialize;
+use std::time::Duration;
 
 /// One of the evaluation applications (§7.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -69,32 +70,28 @@ impl App {
         if self == App::ThreeMc && base.iep {
             let motifs = gpm_apps::counting::motif_count_noninduced(engine, 3, base)
                 .expect("3-motif patterns compile");
-            return RunStats {
-                count: motifs.total,
-                elapsed: motifs.elapsed,
-                per_part: motifs.per_part,
-                traffic: khuzdul::TrafficSummary {
-                    network_bytes: motifs.network_bytes,
-                    ..Default::default()
-                },
-                failures: Default::default(),
-                control: Default::default(),
-            };
+            let mut counters = CounterValues::default();
+            counters[Counter::NetworkBytes] = motifs.network_bytes;
+            return RunStats::new(
+                motifs.total,
+                motifs.elapsed,
+                motifs.per_part,
+                counters,
+                Default::default(),
+            );
         }
-        let mut total = RunStats::default();
+        let (mut count, mut elapsed) = (0, Duration::ZERO);
+        let mut counters = CounterValues::default();
+        let mut per_part: Vec<PartStats> = Vec::new();
         for plan in self.plans(base) {
             let run = engine.count(&plan);
-            total.count += run.count;
-            total.elapsed += run.elapsed;
-            total.traffic.network_bytes += run.traffic.network_bytes;
-            total.traffic.cross_socket_bytes += run.traffic.cross_socket_bytes;
-            total.traffic.requests += run.traffic.requests;
-            total.traffic.cache_hits += run.traffic.cache_hits;
-            total.traffic.cache_misses += run.traffic.cache_misses;
-            if total.per_part.is_empty() {
-                total.per_part = run.per_part;
+            count += run.count;
+            elapsed += run.elapsed;
+            counters += &run.counters;
+            if per_part.is_empty() {
+                per_part = run.per_part;
             } else {
-                for (acc, p) in total.per_part.iter_mut().zip(run.per_part) {
+                for (acc, p) in per_part.iter_mut().zip(run.per_part) {
                     acc.count += p.count;
                     acc.compute += p.compute;
                     acc.network += p.network;
@@ -103,7 +100,7 @@ impl App {
                 }
             }
         }
-        total
+        RunStats::new(count, elapsed, per_part, counters, Default::default())
     }
 }
 

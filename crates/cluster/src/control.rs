@@ -24,14 +24,14 @@
 //! operations strictly sequentially.
 
 use crate::fabric::{FetchError, RetryPolicy};
-use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics};
+use crate::metrics::{ClusterMetrics, CounterHandle};
 use crate::transport::{
     CtrlClaimSource, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest, Fault, FaultPlan,
 };
 use crate::PartId;
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use gpm_graph::VertexId;
-use gpm_obs::{Metric, Recorder, SpanKind};
+use gpm_obs::{Counter, Metric, Recorder, SpanKind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -410,8 +410,7 @@ impl ControlLedgerService {
             seq: Arc::clone(&self.seq),
             retry: self.cfg.retry,
             fault: self.cfg.fault.clone(),
-            part_metrics: Arc::clone(self.metrics.part(part)),
-            query_metrics: self.metrics.query(self.cfg.query),
+            counters: self.metrics.handle(part, self.cfg.query),
             obs: Arc::clone(&self.obs),
         }
     }
@@ -438,8 +437,7 @@ pub struct ControlClient {
     seq: Arc<AtomicU64>,
     retry: RetryPolicy,
     fault: Option<FaultPlan>,
-    part_metrics: Arc<PartMetrics>,
-    query_metrics: Arc<QueryMetrics>,
+    counters: CounterHandle,
     obs: Arc<Recorder>,
 }
 
@@ -468,8 +466,7 @@ impl ControlClient {
             let seq = self.seq.fetch_add(1, Ordering::Relaxed) + 1;
             let req =
                 CtrlRequest { seq, req_id, query: self.query, from: self.part, op: op.clone() };
-            self.part_metrics.record_ctrl_sent();
-            self.query_metrics.record_ctrl_sent();
+            self.counters.emit(Counter::CtrlSent, 1);
             let fate = self.fault.as_ref().map_or(Fault::None, |p| p.decide(self.part, seq));
             match fate {
                 Fault::None => self.send(req, reply_tx.clone())?,
@@ -477,8 +474,7 @@ impl ControlClient {
                     // The responder still applies the operation — the
                     // reply is lost in the network. The retry below is
                     // answered from the responder's dedup cache.
-                    self.part_metrics.record_ctrl_dropped();
-                    self.query_metrics.record_ctrl_dropped();
+                    self.counters.emit(Counter::CtrlDropped, 1);
                     self.fault_instant(1, req_id);
                     let (black_hole, _) = unbounded::<CtrlReply>();
                     self.send(req, black_hole)?;
@@ -526,8 +522,7 @@ impl ControlClient {
             if attempts >= self.retry.max_attempts.max(1) {
                 return Err(FetchError::Timeout { target: self.part, attempts });
             }
-            self.part_metrics.record_ctrl_retry();
-            self.query_metrics.record_ctrl_retry();
+            self.counters.emit(Counter::CtrlRetried, 1);
             let rt0 = self.obs.now_ns();
             std::thread::sleep(self.retry.backoff * (1u32 << (attempts - 1).min(16)));
             self.obs.record_span_for(
@@ -826,16 +821,12 @@ mod tests {
         for _ in 0..8 {
             let _ = c0.call(CtrlOp::Poll).unwrap();
         }
-        let sent = metrics.part(0).ctrl_sent();
-        let retried = metrics.part(0).ctrl_retried();
-        let dropped = metrics.part(0).ctrl_dropped();
+        let part = metrics.part(0).counters.snapshot();
+        let (sent, retried) = (part[Counter::CtrlSent], part[Counter::CtrlRetried]);
         assert!(sent >= 8, "every call sends at least once, got {sent}");
         assert_eq!(sent, 8 + retried, "each retry is one extra send");
-        assert!(dropped <= sent);
+        assert!(part[Counter::CtrlDropped] <= sent);
         // Query counters see the same events.
-        let q = metrics.query(0);
-        assert_eq!(q.ctrl_sent(), sent);
-        assert_eq!(q.ctrl_retried(), retried);
-        assert_eq!(q.ctrl_dropped(), dropped);
+        assert_eq!(metrics.query(0).snapshot(), part);
     }
 }

@@ -19,7 +19,7 @@
 //! * **Typed failure** — every way a fetch can fail is a
 //!   [`FetchError`] variant propagated to the caller, never a panic.
 
-use crate::metrics::{ClusterMetrics, PartMetrics, QueryMetrics, TrafficClass};
+use crate::metrics::{ClusterMetrics, CounterHandle, PartMetrics, TrafficClass};
 use crate::transport::{
     checked_offset, ChannelTransport, FaultInjectingTransport, FaultPlan, FetchedLists,
     ReplicaPush, Transport, WireReply, WireRequest, HEADER_BYTES,
@@ -28,7 +28,7 @@ use crate::{NetworkModel, PartId};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
-use gpm_obs::{FlightKind, Metric, Recorder, SpanKind};
+use gpm_obs::{Counter, FlightKind, Metric, Recorder, SpanKind};
 use parking_lot::{Condvar, Mutex};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -426,8 +426,7 @@ impl EdgeListService {
     /// tags, and per-query counters — is attributed to `query_id`.
     /// Clients of different queries on the same part share the part's
     /// in-flight window (the window models the part's link, which the
-    /// queries contend for) but record into distinct
-    /// [`QueryMetrics`].
+    /// queries contend for) but record into distinct query counters.
     ///
     /// # Panics
     ///
@@ -437,7 +436,7 @@ impl EdgeListService {
         EdgeListClient {
             part,
             query: query_id,
-            query_metrics: self.metrics.query(query_id),
+            counters: self.metrics.handle(part, query_id),
             transport: Arc::clone(&self.transport),
             metrics: self.metrics.clone(),
             network: self.network,
@@ -597,11 +596,11 @@ impl EdgeListService {
 pub struct EdgeListClient {
     part: PartId,
     /// The query this client works for (0 = unattributed). Stamped on
-    /// every wire request and span, and keyed into `query_metrics`.
+    /// every wire request and span, and keyed into `counters`.
     query: u64,
-    /// Resolved counters for `query` (shared with the engine's report
-    /// path via [`ClusterMetrics::query`]).
-    query_metrics: Arc<QueryMetrics>,
+    /// This part's counters and `query`'s (shared with the engine's
+    /// report path via [`ClusterMetrics::query`]).
+    counters: CounterHandle,
     transport: Arc<dyn Transport>,
     metrics: ClusterMetrics,
     network: Option<NetworkModel>,
@@ -634,11 +633,11 @@ impl EdgeListClient {
         self.query
     }
 
-    /// The per-query counters this client records into. The part runtime
-    /// also records cache hits/misses here so the query's hit rate is
-    /// exact under interleaving.
-    pub fn query_metrics(&self) -> &Arc<QueryMetrics> {
-        &self.query_metrics
+    /// The part and query counters this client records into. The part
+    /// runtime also records cache hits/misses here so the query's hit
+    /// rate is exact under interleaving.
+    pub fn counters(&self) -> &CounterHandle {
+        &self.counters
     }
 
     /// Whether `part` has been detected as fail-stop dead. The part
@@ -697,15 +696,13 @@ impl EdgeListClient {
         vertices: &[VertexId],
     ) -> Result<PendingFetch, FetchError> {
         assert!(target < self.part_count(), "target part out of range");
-        let my = Arc::clone(self.metrics.part(self.part));
         let (wire, expand) = coalesce(vertices);
-        if let Some(saved) = vertices.len().checked_sub(wire.len()) {
-            if saved > 0 {
-                my.record_coalesced(saved as u64);
-                self.query_metrics.record_coalesced(saved as u64);
-            }
+        let saved = vertices.len() - wire.len();
+        if saved > 0 {
+            self.counters.emit(Counter::Coalesced, saved as u64);
         }
-        let permit = self.window.acquire(&my);
+        let my = self.counters.part();
+        let permit = self.window.acquire(my);
         self.obs.observe(Metric::WindowOccupancy, my.inflight());
         let submitted_ns = self.obs.now_ns();
         let (reply_tx, reply_rx) = unbounded();
@@ -837,8 +834,6 @@ impl PendingFetch {
     /// the retry budget is exhausted.
     pub fn wait(mut self) -> Result<FetchedLists, FetchError> {
         let retry = self.client.retry;
-        let my = Arc::clone(self.client.metrics.part(self.client.part));
-        let wait_start = Instant::now();
         let mut attempt_start = self.submitted;
         let lists = loop {
             let remaining = retry.timeout.saturating_sub(attempt_start.elapsed());
@@ -847,15 +842,14 @@ impl PendingFetch {
                 Ok(reply) if reply.seq != self.seq => continue,
                 Ok(reply) => match reply.payload {
                     Ok(lists) => break lists,
-                    Err(e) if e.is_transient() => self.resubmit(&retry, &my)?,
+                    Err(e) if e.is_transient() => self.resubmit(&retry)?,
                     Err(e) => return Err(e),
                 },
-                Err(RecvTimeoutError::Timeout) => self.resubmit(&retry, &my)?,
+                Err(RecvTimeoutError::Timeout) => self.resubmit(&retry)?,
                 Err(RecvTimeoutError::Disconnected) => return Err(FetchError::Shutdown),
             }
             attempt_start = Instant::now();
         };
-        my.record_wait(wait_start.elapsed());
         let req_bytes = HEADER_BYTES + 4 * self.wire.len() as u64;
         let resp_bytes = lists.response_bytes();
         if self.target != self.owner {
@@ -863,9 +857,12 @@ impl PendingFetch {
             // failover traffic separately for the run report — once on
             // the issuing side, and once against the *serving holder* so
             // the spread (or hotspotting) of failover load is visible.
-            my.record_rerouted(req_bytes + resp_bytes);
-            self.client.query_metrics.record_rerouted(req_bytes + resp_bytes);
-            self.client.metrics.part(self.target).record_rerouted_served(req_bytes + resp_bytes);
+            let bytes = req_bytes + resp_bytes;
+            self.client.counters.emit(Counter::ReroutedRequests, 1);
+            self.client.counters.emit(Counter::ReroutedBytes, bytes);
+            let holder = &self.client.metrics.part(self.target).counters;
+            holder.add(Counter::ReroutedServedRequests, 1);
+            holder.add(Counter::ReroutedServedBytes, bytes);
         }
         let obs = &self.client.obs;
         obs.record_span_for(
@@ -879,10 +876,7 @@ impl PendingFetch {
         obs.observe(Metric::FetchLatencyNs, self.submitted.elapsed().as_nanos() as u64);
         obs.observe(Metric::BatchBytes, resp_bytes);
         let class = self.client.metrics.classify(self.client.part, self.target);
-        my.record_fetch(class, req_bytes, resp_bytes);
-        self.client.query_metrics.record_fetch(class, req_bytes, resp_bytes);
-        self.client.metrics.record_link(self.client.part, self.target, req_bytes);
-        self.client.metrics.record_link(self.target, self.client.part, resp_bytes);
+        self.client.counters.record_fetch(class, req_bytes, resp_bytes);
         if let (Some(model), TrafficClass::CrossMachine) = (self.client.network, class) {
             let target_delay = model.transfer_time(req_bytes + resp_bytes);
             // Time already spent since submission counts toward the
@@ -890,7 +884,6 @@ impl PendingFetch {
             // integrated earlier batches cost nothing extra.
             if let Some(remaining) = target_delay.checked_sub(self.submitted.elapsed()) {
                 precise_sleep(remaining);
-                my.record_wait(remaining);
             }
         }
         match &self.expand {
@@ -905,7 +898,7 @@ impl PendingFetch {
     /// on resubmission, or (under [`FabricConfig::fail_fast`]) the retry
     /// budget is exhausted — the part is promoted and the fetch fails
     /// over to the next live replica holder instead of erroring out.
-    fn resubmit(&mut self, retry: &RetryPolicy, my: &Arc<PartMetrics>) -> Result<(), FetchError> {
+    fn resubmit(&mut self, retry: &RetryPolicy) -> Result<(), FetchError> {
         if self.attempts >= retry.max_attempts {
             if self.client.liveness.fail_fast {
                 self.client.promote_dead(self.target);
@@ -920,8 +913,7 @@ impl PendingFetch {
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
-        my.record_retry();
-        self.client.query_metrics.record_retry();
+        self.client.counters.emit(Counter::Retries, 1);
         self.client.obs.record_span_for(
             self.client.query,
             SpanKind::Retry,
@@ -1122,13 +1114,13 @@ mod tests {
         let owned: Vec<VertexId> = pg.part(0).owned().iter().copied().take(5).collect();
         client.fetch(0, &owned).unwrap();
         let m = service.metrics();
-        assert_eq!(m.total_requests(), 1);
-        assert!(m.total_network_bytes() > 0);
-        assert!(m.part(1).bytes_received() > 0);
-        assert!(m.part(0).served_requests() == 1);
+        assert_eq!(m.totals()[Counter::FetchRequests], 1);
+        assert!(m.totals()[Counter::NetworkBytes] > 0);
+        assert!(m.part(1).counters.get(Counter::BytesReceived) > 0);
+        assert!(m.part(0).counters.get(Counter::ServedRequests) == 1);
         // No duplicates, no faults: nothing coalesced, nothing retried.
-        assert_eq!(m.total_coalesced(), 0);
-        assert_eq!(m.total_retries(), 0);
+        assert_eq!(m.totals()[Counter::Coalesced], 0);
+        assert_eq!(m.totals()[Counter::Retries], 0);
         service.shutdown();
     }
 
@@ -1139,8 +1131,8 @@ mod tests {
         let client = service.client(0);
         let owned: Vec<VertexId> = pg.part(1).owned().iter().copied().take(3).collect();
         client.fetch(1, &owned).unwrap();
-        assert_eq!(service.metrics().total_network_bytes(), 0);
-        assert!(service.metrics().total_cross_socket_bytes() > 0);
+        assert_eq!(service.metrics().totals()[Counter::NetworkBytes], 0);
+        assert!(service.metrics().totals()[Counter::NumaBytes] > 0);
         service.shutdown();
     }
 
@@ -1205,7 +1197,7 @@ mod tests {
         for (i, &v) in request.iter().enumerate() {
             assert_eq!(lists.list(i), g.neighbors(v), "list {i} mismatched");
         }
-        assert_eq!(service.metrics().total_coalesced(), 3);
+        assert_eq!(service.metrics().totals()[Counter::Coalesced], 3);
         service.shutdown();
     }
 
@@ -1218,8 +1210,8 @@ mod tests {
         client.fetch(0, &[v; 8]).unwrap();
         // Request bytes account the deduplicated wire form: header + one
         // vertex, not eight.
-        assert_eq!(service.metrics().part(1).bytes_sent(), 16 + 4);
-        assert_eq!(service.metrics().total_coalesced(), 7);
+        assert_eq!(service.metrics().part(1).counters.get(Counter::BytesSent), 16 + 4);
+        assert_eq!(service.metrics().totals()[Counter::Coalesced], 7);
         service.shutdown();
     }
 
@@ -1239,18 +1231,19 @@ mod tests {
         c7.fetch(0, &owned[..2]).unwrap();
         c7.fetch(0, &[owned[2], owned[2]]).unwrap(); // one coalesced vertex
         c9.fetch(0, &owned[3..]).unwrap();
-        let q7 = service.metrics().query(7);
-        let q9 = service.metrics().query(9);
-        assert_eq!(q7.requests(), 2);
-        assert_eq!(q9.requests(), 1);
-        assert_eq!(q7.coalesced_requests(), 1);
-        assert_eq!(q9.coalesced_requests(), 0);
-        assert!(q7.network_bytes() > 0);
+        let q7 = service.metrics().query(7).snapshot();
+        let q9 = service.metrics().query(9).snapshot();
+        assert_eq!(q7[Counter::FetchRequests], 2);
+        assert_eq!(q9[Counter::FetchRequests], 1);
+        assert_eq!(q7[Counter::Coalesced], 1);
+        assert_eq!(q9[Counter::Coalesced], 0);
+        assert!(q7[Counter::NetworkBytes] > 0);
         // Part counters still see the union.
-        assert_eq!(service.metrics().total_requests(), 3);
+        let part = service.metrics().part(1).counters.snapshot();
+        assert_eq!(service.metrics().totals()[Counter::FetchRequests], 3);
         assert_eq!(
-            service.metrics().part(1).bytes_received(),
-            q7.network_bytes() + q9.network_bytes() - service.metrics().part(1).bytes_sent()
+            part[Counter::BytesReceived],
+            q7[Counter::NetworkBytes] + q9[Counter::NetworkBytes] - part[Counter::BytesSent]
         );
         for s in obs.spans() {
             if matches!(s.kind, SpanKind::FetchIssue | SpanKind::Fetch | SpanKind::Serve) {
@@ -1341,7 +1334,7 @@ mod tests {
             let lists = client.fetch(0, &[v]).unwrap();
             assert_eq!(lists.list(0), g.neighbors(v));
         }
-        assert!(service.metrics().total_retries() > 0, "30% drops must force retries");
+        assert!(service.metrics().totals()[Counter::Retries] > 0, "30% drops must force retries");
         service.shutdown();
     }
 
@@ -1357,7 +1350,7 @@ mod tests {
             let lists = client.fetch(0, &[v]).unwrap();
             assert_eq!(lists.list(0), g.neighbors(v));
         }
-        assert!(service.metrics().total_retries() > 0);
+        assert!(service.metrics().totals()[Counter::Retries] > 0);
         service.shutdown();
     }
 
@@ -1398,7 +1391,7 @@ mod tests {
         let err = client.fetch(0, &[v]).unwrap_err();
         assert_eq!(err, FetchError::Timeout { target: 0, attempts: 3 });
         assert!(err.to_string().contains("after 3 attempts"));
-        assert_eq!(service.metrics().part(1).retries(), 2);
+        assert_eq!(service.metrics().part(1).counters.get(Counter::Retries), 2);
         service.shutdown();
     }
 
@@ -1426,7 +1419,7 @@ mod tests {
         // Batch-bytes histogram saw exactly the accounted response size.
         assert_eq!(
             obs.hist_snapshot(Metric::BatchBytes).sum,
-            service.metrics().part(1).bytes_received()
+            service.metrics().part(1).counters.get(Counter::BytesReceived)
         );
         service.shutdown();
     }
@@ -1451,7 +1444,7 @@ mod tests {
             "missing Fault(drop) instant"
         );
         let retries = spans.iter().filter(|s| s.kind == SpanKind::Retry).count() as u64;
-        assert_eq!(retries, service.metrics().total_retries());
+        assert_eq!(retries, service.metrics().totals()[Counter::Retries]);
         assert!(retries > 0);
         service.shutdown();
     }
@@ -1553,8 +1546,12 @@ mod tests {
         assert_eq!(service.dead_parts(), vec![0]);
         let m = service.metrics();
         assert_eq!(m.parts_failed(), 1);
-        assert!(m.total_rerouted_requests() >= 7, "{} rerouted", m.total_rerouted_requests());
-        assert!(m.total_rerouted_bytes() > 0);
+        assert!(
+            m.totals()[Counter::ReroutedRequests] >= 7,
+            "{} rerouted",
+            m.totals()[Counter::ReroutedRequests]
+        );
+        assert!(m.totals()[Counter::ReroutedBytes] > 0);
         service.shutdown();
     }
 
@@ -1655,13 +1652,19 @@ mod tests {
             assert_eq!(lists.list(0), g.neighbors(v));
         }
         let m = service.metrics();
-        let (s2, s3) = (m.part(2).rerouted_served_requests(), m.part(3).rerouted_served_requests());
+        let (s2, s3) = (
+            m.part(2).counters.get(Counter::ReroutedServedRequests),
+            m.part(3).counters.get(Counter::ReroutedServedRequests),
+        );
         assert!(s2 > 0 && s3 > 0, "one holder starved: part2={s2} part3={s3}");
-        let (b2, b3) = (m.part(2).rerouted_served_bytes(), m.part(3).rerouted_served_bytes());
+        let (b2, b3) = (
+            m.part(2).counters.get(Counter::ReroutedServedBytes),
+            m.part(3).counters.get(Counter::ReroutedServedBytes),
+        );
         let max_share = b2.max(b3) as f64 / (b2 + b3) as f64;
         assert!(max_share <= 0.7, "holder hotspot: {b2} vs {b3} bytes ({max_share:.2})");
         // Issuer-side accounting still sees the union.
-        assert_eq!(m.total_rerouted_requests(), s2 + s3);
+        assert_eq!(m.totals()[Counter::ReroutedRequests], s2 + s3);
         service.shutdown();
     }
 
@@ -1705,7 +1708,7 @@ mod tests {
         assert!(service.hosted_slices(1).contains(&0), "slice 0 not installed on part 1");
         let lists = client.fetch(0, &[v]).unwrap();
         assert_eq!(lists.list(0), g.neighbors(v));
-        assert!(service.metrics().part(1).rerouted_served_requests() > 0);
+        assert!(service.metrics().part(1).counters.get(Counter::ReroutedServedRequests) > 0);
         service.shutdown();
     }
 

@@ -19,9 +19,10 @@
 //!   [`EdgeListClient::fetch_async`] with bounded per-part in-flight
 //!   windows (backpressure), same-request coalescing, timeout/retry with
 //!   backoff, and typed [`FetchError`]s instead of panics;
-//! * [`metrics`] — per-part traffic and wait-time counters, split into
-//!   cross-machine and cross-socket classes (for §5.4 and Figure 19),
-//!   plus fabric counters (in-flight depth, coalesced vertices, retries);
+//! * [`metrics`] — per-part and per-query counter arrays indexed by
+//!   [`gpm_obs::Counter`] (bytes split into cross-machine and
+//!   cross-socket classes for §5.4 and Figure 19, coalesced vertices,
+//!   retries, control messages), plus the in-flight window gauge;
 //! * [`NetworkModel`] — optional latency/bandwidth model used to convert
 //!   measured bytes into network-utilization numbers and, when enabled, to
 //!   delay fetches accordingly;
@@ -45,7 +46,7 @@ pub use control::{
 pub use fabric::{
     EdgeListClient, EdgeListService, FabricConfig, FetchError, PendingFetch, RetryPolicy,
 };
-pub use metrics::{ClusterMetrics, CounterSnapshot, PartMetrics, QueryMetrics, TrafficClass};
+pub use metrics::{ClusterMetrics, CounterHandle, Counters, PartMetrics, TrafficClass};
 pub use transport::{
     ChannelTransport, CrashAt, CtrlClaimSource, CtrlOp, CtrlPayload, CtrlReply, CtrlRequest,
     FaultInjectingTransport, FaultPlan, FetchedLists, Transport, WireReply, WireRequest,

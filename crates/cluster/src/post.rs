@@ -11,7 +11,7 @@
 //! linked `PostSend`/`PostRecv` instants — so a baseline trace shows the
 //! same send→receive arrows the engine's fetch lifecycle gets.
 
-use crate::metrics::ClusterMetrics;
+use crate::metrics::{ClusterMetrics, CounterHandle};
 use crate::PartId;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gpm_obs::{Recorder, SpanKind};
@@ -85,6 +85,7 @@ impl<T: Send> PostOffice<T> {
             senders: self.senders.clone(),
             receiver: self.receivers[part].clone(),
             metrics: self.metrics.clone(),
+            counters: self.metrics.handle(part, 0),
             obs: Arc::clone(&self.obs),
             next_id: Arc::clone(&self.next_id),
         }
@@ -118,6 +119,7 @@ pub struct Endpoint<T> {
     senders: Vec<Sender<Envelope<T>>>,
     receiver: Receiver<Envelope<T>>,
     metrics: ClusterMetrics,
+    counters: CounterHandle,
     obs: Arc<Recorder>,
     next_id: Arc<AtomicU64>,
 }
@@ -141,7 +143,7 @@ impl<T: Send> Endpoint<T> {
     /// Panics if `to` is out of range or its queue is disconnected.
     pub fn send(&self, to: PartId, msg: T, bytes: u64) {
         let class = self.metrics.classify(self.part, to);
-        self.metrics.part(self.part).record_fetch(class, bytes, 0);
+        self.counters.record_fetch(class, bytes, 0);
         // Offset by one so 0 stays "unlinked" (gpm_obs::Span::link).
         let msg_id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         self.obs.record_instant_linked(SpanKind::PostSend, self.part as u32, bytes, msg_id);
@@ -187,6 +189,7 @@ impl<T: Send> Endpoint<T> {
 mod tests {
     use super::*;
     use crate::metrics::TrafficClass;
+    use gpm_obs::Counter;
     use gpm_obs::ObsConfig;
 
     #[test]
@@ -198,9 +201,9 @@ mod tests {
         a.send(2, 99, 40); // machine 0 -> machine 1
         assert_eq!(c.try_recv(), Some(99));
         assert_eq!(c.try_recv(), None);
-        assert_eq!(post.metrics().total_network_bytes(), 40);
+        assert_eq!(post.metrics().totals()[Counter::NetworkBytes], 40);
         a.send(1, 1, 10); // same machine, different socket
-        assert_eq!(post.metrics().total_cross_socket_bytes(), 10);
+        assert_eq!(post.metrics().totals()[Counter::NumaBytes], 10);
         assert_eq!(post.metrics().classify(0, 1), TrafficClass::CrossSocket);
     }
 

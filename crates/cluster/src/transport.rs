@@ -20,7 +20,7 @@ use crate::PartId;
 use crossbeam::channel::{unbounded, Sender};
 use gpm_graph::partition::{GraphPart, PartitionedGraph};
 use gpm_graph::VertexId;
-use gpm_obs::{Recorder, SpanKind};
+use gpm_obs::{Counter, Recorder, SpanKind};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -467,7 +467,9 @@ impl ChannelTransport {
                                     serve(&slices, req.owner, &req.vertices)
                                 };
                                 if let Ok(lists) = &payload {
-                                    part_metrics.record_served(lists.response_bytes());
+                                    let counters = &part_metrics.counters;
+                                    counters.add(Counter::ServedRequests, 1);
+                                    counters.add(Counter::ServedBytes, lists.response_bytes());
                                     obs.record_span_for(
                                         req.query,
                                         SpanKind::Serve,

@@ -11,7 +11,7 @@ use crate::runtime::{run_part, PartCtx, Visitor};
 use crate::scheduler::{
     place_recovery_roots, ControlPlane, QueryArbiter, SharedLedger, StealConfig, WorkerPool,
 };
-use crate::stats::{ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
+use crate::stats::{PartStats, RunStats};
 use gpm_cluster::{
     ClusterMetrics, ControlLedgerConfig, EdgeListService, FabricConfig, FetchError, Ledger,
     NetworkModel,
@@ -19,8 +19,8 @@ use gpm_cluster::{
 use gpm_graph::partition::PartitionedGraph;
 use gpm_graph::VertexId;
 use gpm_obs::{
-    FlightKind, FlightRecorder, GaugeSample, HolderReroute, ObsConfig, QueryProgress,
-    RebalanceSection, Recorder, RunReport, SpanKind,
+    Counter, FailureSection, FlightKind, FlightRecorder, GaugeSample, HolderReroute, ObsConfig,
+    QueryProgress, RebalanceSection, Recorder, RunReport, SpanKind,
 };
 use gpm_pattern::kernel::EdgeLabelsUnsupported;
 use gpm_pattern::plan::MatchingPlan;
@@ -438,8 +438,8 @@ impl Engine {
                     alive: !self.service.is_part_dead(p),
                     hosted_slices: self.service.hosted_slices(p),
                     live_copies: self.service.live_copies(p),
-                    rerouted_served_requests: pm.rerouted_served_requests(),
-                    rerouted_served_bytes: pm.rerouted_served_bytes(),
+                    rerouted_served_requests: pm.counters.get(Counter::ReroutedServedRequests),
+                    rerouted_served_bytes: pm.counters.get(Counter::ReroutedServedBytes),
                 }
             })
             .collect()
@@ -456,7 +456,8 @@ impl Engine {
         let per_holder_rerouted: Vec<HolderReroute> = (0..n)
             .filter_map(|p| {
                 let pm = metrics.part(p);
-                let (requests, bytes) = (pm.rerouted_served_requests(), pm.rerouted_served_bytes());
+                let requests = pm.counters.get(Counter::ReroutedServedRequests);
+                let bytes = pm.counters.get(Counter::ReroutedServedBytes);
                 (requests != 0 || bytes != 0).then_some(HolderReroute {
                     part: p as u64,
                     requests,
@@ -821,7 +822,7 @@ impl Engine {
             let loads: Vec<u64> = (0..parts)
                 .map(|p| {
                     gauges[p].load(Ordering::Relaxed) as u64
-                        + metrics.part(p).rerouted_served_bytes() / 1024
+                        + metrics.part(p).counters.get(Counter::ReroutedServedBytes) / 1024
                 })
                 .collect();
             let placed = place_recovery_roots(lost, &loads, &all_dead);
@@ -861,34 +862,15 @@ impl Engine {
         // the global counters: every client this run used was tagged with
         // `qid`, so these counters hold exactly this query's traffic even
         // with other queries running concurrently.
-        let stats = RunStats {
-            count: per_part.iter().map(|p| p.count).sum(),
-            elapsed,
-            per_part,
-            traffic: TrafficSummary {
-                network_bytes: qm.network_bytes(),
-                cross_socket_bytes: qm.cross_socket_bytes(),
-                requests: qm.requests(),
-                cache_hits: qm.cache_hits(),
-                cache_misses: qm.cache_misses(),
-                coalesced: qm.coalesced_requests(),
-                retries: qm.retries(),
-            },
-            failures: FailureSummary {
-                // Dead parts observed by the end of this query's run; a
-                // query admitted after a crash still pays the failover
-                // and recovery for it, so it reports the failure too.
-                parts_failed: all_dead.len() as u64,
-                rerouted_requests: qm.rerouted_requests(),
-                rerouted_bytes: qm.rerouted_bytes(),
-                reexecuted_roots,
-            },
-            control: ControlSummary {
-                sent: qm.ctrl_sent(),
-                retried: qm.ctrl_retried(),
-                dropped: qm.ctrl_dropped(),
-            },
+        let failures = FailureSection {
+            // Dead parts observed by the end of this query's run; a
+            // query admitted after a crash still pays the failover
+            // and recovery for it, so it reports the failure too.
+            parts_failed: all_dead.len() as u64,
+            reexecuted_roots,
         };
+        let count = per_part.iter().map(|p| p.count).sum();
+        let stats = RunStats::new(count, elapsed, per_part, qm.snapshot(), failures);
         if let Some(p) = &progress {
             p.mark_done();
         }
@@ -913,7 +895,7 @@ impl Engine {
         let sections = if self.incidents.enabled() {
             CaptureSections {
                 progress: self.active_progress().iter().map(|p| progress_json(p)).collect(),
-                counters: Some(counters_json(&self.service.metrics().counter_snapshot())),
+                counters: Some(counters_json(&self.service.metrics().totals())),
                 ledger: Some(ledger_json(&ledger.state_summary())),
             }
         } else {
@@ -1093,7 +1075,7 @@ impl GaugeSampler {
                             t_ns,
                             part: p as u32,
                             inflight: pm.inflight(),
-                            network_bytes: pm.cross_machine_bytes(),
+                            network_bytes: pm.counters.get(Counter::NetworkBytes),
                             queue_depth: queue_depths
                                 .get(p)
                                 .map_or(0, |g| g.load(Ordering::Relaxed) as u64),
@@ -1471,12 +1453,15 @@ mod tests {
             // was detected, traffic was re-routed to the replica holder,
             // and the recovery pass re-executed the lost roots.
             assert_eq!(run.failures.parts_failed, 1, "steal={steal}");
-            assert!(run.failures.rerouted_requests > 0, "steal={steal}");
-            assert!(run.failures.rerouted_bytes > 0, "steal={steal}");
+            assert!(run.counters[Counter::ReroutedRequests] > 0, "steal={steal}");
+            assert!(run.counters[Counter::ReroutedBytes] > 0, "steal={steal}");
             assert!(run.failures.reexecuted_roots > 0, "steal={steal}");
             let report = engine.report(&run, "khuzdul");
             assert_eq!(report.failures.parts_failed, 1);
-            assert_eq!(report.failures.rerouted_bytes, run.failures.rerouted_bytes);
+            assert_eq!(
+                report.counters[Counter::ReroutedBytes],
+                run.counters[Counter::ReroutedBytes]
+            );
             assert_eq!(report.failures.reexecuted_roots, run.failures.reexecuted_roots);
             gpm_obs::validate_report(&report.to_json()).expect("crash-run report must validate");
             let spans = engine.recorder().spans();
@@ -1987,12 +1972,12 @@ mod tests {
             Engine::new(pg, EngineConfig { obs: ObsConfig::enabled(), ..EngineConfig::default() });
         let run = engine.count(&plan(&Pattern::triangle()));
         let report = engine.report(&run, "khuzdul");
-        // Report totals mirror the legacy TrafficSummary counters.
+        // Report totals carry the run's counters.
         assert_eq!(report.count, run.count);
-        assert_eq!(report.traffic.fetch_requests, run.traffic.requests);
-        assert_eq!(report.traffic.network_bytes, run.traffic.network_bytes);
-        assert_eq!(report.traffic.cache_hits, run.traffic.cache_hits);
-        assert_eq!(report.traffic.coalesced_requests, run.traffic.coalesced);
+        assert_eq!(report.counters[Counter::FetchRequests], run.traffic.requests);
+        assert_eq!(report.counters[Counter::NetworkBytes], run.traffic.network_bytes);
+        assert_eq!(report.counters[Counter::CacheHits], run.traffic.cache_hits);
+        assert_eq!(report.counters[Counter::Coalesced], run.traffic.coalesced);
         gpm_obs::validate_report(&report.to_json()).expect("engine report must validate");
         // The scheduler, resolve phase, and fabric all left spans.
         let spans = engine.recorder().spans();

@@ -398,16 +398,10 @@ pub(crate) fn progress_json(p: &QueryProgress) -> Value {
     ])
 }
 
-/// JSON map of a cluster counter snapshot, name for value, for the
-/// bundle's `counters` section.
-pub(crate) fn counters_json(snap: &gpm_cluster::CounterSnapshot) -> Value {
-    Value::Map(
-        gpm_cluster::CounterSnapshot::NAMES
-            .iter()
-            .zip(snap.as_array())
-            .map(|(n, v)| ((*n).to_string(), Value::UInt(v)))
-            .collect(),
-    )
+/// JSON map of the cluster counter totals, `/status` name for value,
+/// for the bundle's `counters` section.
+pub(crate) fn counters_json(totals: &gpm_obs::CounterValues) -> Value {
+    Value::Map(totals.status().map(|(n, v)| (n.to_string(), Value::UInt(v))).collect())
 }
 
 /// JSON form of a [`LedgerStateSummary`] for the bundle's `ledger`

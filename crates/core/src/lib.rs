@@ -66,7 +66,7 @@ pub use incident::{list_bundles, validate_bundle, IncidentConfig, IncidentManage
 pub use rebalance::{RebalanceConfig, RebalanceStats};
 pub use scheduler::{QueryArbiter, StealConfig};
 pub use service::{Completion, MiningService, QueryHandle, QueryOutcome, ServiceConfig};
-pub use stats::{Breakdown, ControlSummary, FailureSummary, PartStats, RunStats, TrafficSummary};
+pub use stats::{Breakdown, ControlSummary, PartStats, RunStats, TrafficSummary};
 pub use status::{StatusConfig, StatusServer};
 
 // Fabric knobs and errors surface through `EngineConfig` / `try_count`,
@@ -75,7 +75,7 @@ pub use gpm_cluster::{CrashAt, FabricConfig, FaultPlan, FetchError, RetryPolicy}
 
 // Observability surfaces through `EngineConfig::obs` / `Engine::report`;
 // re-export the types callers hold or write out.
-pub use gpm_obs::{ObsConfig, Recorder, RunReport};
+pub use gpm_obs::{Counter, CounterValues, FailureSection, ObsConfig, Recorder, RunReport};
 
 // Re-export the plan types that form the engine's EXTEND-level interface.
 pub use gpm_pattern::plan::MatchingPlan;

@@ -22,7 +22,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use gpm_cluster::{CtrlClaimSource, EdgeListClient, FetchError, PendingFetch};
 use gpm_graph::partition::GraphPart;
 use gpm_graph::{Label, VertexId};
-use gpm_obs::{FlightKind, ObsHandle, Recorder, SpanKind};
+use gpm_obs::{Counter, FlightKind, ObsHandle, Recorder, SpanKind};
 use gpm_pattern::plan::MatchingPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -92,10 +92,32 @@ impl PartCtx<'_> {
 /// the *completion handle* of an issued request, not the data itself —
 /// the engine thread collects replies in submission order while the comm
 /// thread keeps submitting within the fabric's request window.
-struct CommJob {
+struct CommJob<R = Result<PendingFetch, FetchError>> {
     target: usize,
     vertices: Vec<VertexId>,
-    reply: Sender<Result<PendingFetch, FetchError>>,
+    reply: Sender<R>,
+}
+
+/// The communication thread's body: issues each queued job through
+/// `fetch` and sends back the result, until every job sender is gone.
+///
+/// If `fetch` panics, the unwind drops the job in hand, and a guard then
+/// keeps receiving and dropping jobs until the senders are gone. Either
+/// way every queued job's reply sender is dropped, so the part waiting
+/// on it sees a disconnect (`FetchError::Shutdown`) instead of blocking
+/// forever on a reply that will never come.
+fn comm_loop<R>(jobs: Receiver<CommJob<R>>, mut fetch: impl FnMut(usize, &[VertexId]) -> R) {
+    struct Drain<R>(Receiver<CommJob<R>>);
+    impl<R> Drop for Drain<R> {
+        fn drop(&mut self) {
+            while self.0.recv().is_ok() {}
+        }
+    }
+    let jobs = Drain(jobs);
+    while let Ok(job) = jobs.0.recv() {
+        let reply = fetch(job.target, &job.vertices);
+        let _ = job.reply.send(reply);
+    }
 }
 
 /// Runs the whole plan on one part, returning its statistics, or the
@@ -111,10 +133,7 @@ pub(crate) fn run_part(ctx: PartCtx<'_>) -> Result<PartStats, FetchError> {
     let comm_handle = std::thread::Builder::new()
         .name(format!("khuzdul-comm-{}", ctx.my_part))
         .spawn(move || {
-            while let Ok(job) = comm_rx.recv() {
-                let pending = comm_client.fetch_async(job.target, &job.vertices);
-                let _ = job.reply.send(pending);
-            }
+            comm_loop(comm_rx, |target, vertices| comm_client.fetch_async(target, vertices))
         })
         .expect("spawn comm thread");
 
@@ -479,8 +498,7 @@ impl<'e> PartRun<'e> {
         let rts = self.obs.start();
         let part_count = self.ctx.part_count;
         let my_part = self.ctx.my_part;
-        let metrics = Arc::clone(self.ctx.client.metrics().part(my_part));
-        let qmetrics = Arc::clone(self.ctx.client.query_metrics());
+        let counters = self.ctx.client.counters();
         let cache_enabled = self.ctx.cache.is_enabled();
 
         let chunk = &mut self.levels[cur];
@@ -509,14 +527,12 @@ impl<'e> PartRun<'e> {
                 }
                 if cache_enabled {
                     if let Some(list) = self.ctx.cache.lookup(v) {
-                        metrics.record_cache_hit();
-                        qmetrics.record_cache_hit();
+                        counters.emit(Counter::CacheHits, 1);
                         self.obs.instant(SpanKind::CacheLookup, 1);
                         embs[i].list = ListRef::Cached(list);
                         continue;
                     }
-                    metrics.record_cache_miss();
-                    qmetrics.record_cache_miss();
+                    counters.emit(Counter::CacheMisses, 1);
                     self.obs.instant(SpanKind::CacheLookup, 0);
                 }
                 if self.ctx.cfg.horizontal_sharing {
@@ -598,5 +614,41 @@ impl<'e> PartRun<'e> {
             Some(e) => Err(e),
             None => Ok(()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::RecvTimeoutError;
+
+    #[test]
+    fn a_panicking_fetch_disconnects_every_queued_reply() {
+        type Reply = Result<u32, FetchError>;
+        let (jobs, queue) = unbounded::<CommJob<Reply>>();
+        let mut replies = Vec::new();
+        for target in 0..4 {
+            let (reply, wait) = bounded(1);
+            jobs.send(CommJob { target, vertices: vec![target as VertexId], reply }).unwrap();
+            replies.push(wait);
+        }
+        let comm = std::thread::spawn(move || {
+            comm_loop(queue, |target, _| {
+                assert_ne!(target, 1, "injected fetch panic on the second job");
+                Ok(target as u32)
+            })
+        });
+        // The part still holds its job sender, as `PartRun` does while it
+        // waits: the replies must come back disconnected regardless.
+        let wait = |r: &Receiver<Reply>| r.recv_timeout(Duration::from_secs(30));
+        assert_eq!(wait(&replies[0]), Ok(Ok(0)));
+        for r in &replies[1..] {
+            assert_eq!(wait(r), Err(RecvTimeoutError::Disconnected));
+        }
+        let (reply, late) = bounded(1);
+        jobs.send(CommJob { target: 0, vertices: Vec::new(), reply }).unwrap();
+        assert_eq!(wait(&late), Err(RecvTimeoutError::Disconnected));
+        drop(jobs);
+        assert!(comm.join().is_err(), "the comm thread's panic surfaces at join");
     }
 }

@@ -18,9 +18,7 @@
 use crate::engine::{Engine, EngineError, QueryCtx, DEFAULT_ROOT_BUDGET};
 use crate::incident::{counters_json, progress_json, CaptureSections, Trigger, TriggerKind};
 use crate::stats::RunStats;
-use gpm_obs::{
-    critical_path, ControlSection, FailureSection, QueryReport, RunReport, Span, TrafficTotals,
-};
+use gpm_obs::{critical_path, CounterValues, FailureSection, QueryReport, RunReport, Span};
 use gpm_pattern::iso::canonical_code;
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
@@ -436,27 +434,8 @@ impl MiningService {
     /// only).
     pub fn report(&self, system: &str) -> RunReport {
         let outcomes = self.outcomes();
-        let mut agg = RunStats { elapsed: self.started.elapsed(), ..RunStats::default() };
-        for o in &outcomes {
-            let Ok(stats) = &o.result else { continue };
-            agg.count += stats.count;
-            if !o.memoized {
-                let t = &stats.traffic;
-                agg.traffic.network_bytes += t.network_bytes;
-                agg.traffic.cross_socket_bytes += t.cross_socket_bytes;
-                agg.traffic.requests += t.requests;
-                agg.traffic.cache_hits += t.cache_hits;
-                agg.traffic.cache_misses += t.cache_misses;
-                agg.traffic.coalesced += t.coalesced;
-                agg.traffic.retries += t.retries;
-                agg.failures.rerouted_requests += stats.failures.rerouted_requests;
-                agg.failures.rerouted_bytes += stats.failures.rerouted_bytes;
-                agg.failures.reexecuted_roots += stats.failures.reexecuted_roots;
-                agg.control.sent += stats.control.sent;
-                agg.control.retried += stats.control.retried;
-                agg.control.dropped += stats.control.dropped;
-            }
-        }
+        let mut agg = completed_totals(&outcomes);
+        agg.elapsed = self.started.elapsed();
         // Service-level failure count: parts that fail-stopped, counted
         // once, not once per query that observed them.
         agg.failures.parts_failed = self.engine.metrics().parts_failed();
@@ -536,31 +515,32 @@ fn query_report(o: &QueryOutcome, spans: &[Span]) -> QueryReport {
     if let Ok(stats) = &o.result {
         qr.count = stats.count;
         if !o.memoized {
-            qr.traffic = TrafficTotals {
-                fetch_requests: stats.traffic.requests,
-                cache_hits: stats.traffic.cache_hits,
-                cache_misses: stats.traffic.cache_misses,
-                coalesced_requests: stats.traffic.coalesced,
-                retries: stats.traffic.retries,
-                network_bytes: stats.traffic.network_bytes,
-                numa_bytes: stats.traffic.cross_socket_bytes,
-            };
-            qr.failures = FailureSection {
-                parts_failed: stats.failures.parts_failed,
-                rerouted_requests: stats.failures.rerouted_requests,
-                rerouted_bytes: stats.failures.rerouted_bytes,
-                reexecuted_roots: stats.failures.reexecuted_roots,
-            };
-            qr.control = ControlSection {
-                sent: stats.control.sent,
-                retried: stats.control.retried,
-                dropped: stats.control.dropped,
-            };
+            qr.counters = stats.counters;
+            qr.failures = stats.failures;
             let mine: Vec<Span> = spans.iter().filter(|s| s.query == o.query_id).cloned().collect();
             qr.critical_path = critical_path(&mine);
         }
     }
     qr
+}
+
+/// Sums over the completed queries, the one source of both the service
+/// report's aggregate and `/metrics`: the embeddings of every completed
+/// query, and the counters and re-executed roots of the enumerated ones
+/// (a memo hit moved no traffic of its own).
+pub(crate) fn completed_totals(outcomes: &[QueryOutcome]) -> RunStats {
+    let mut count = 0;
+    let mut counters = CounterValues::default();
+    let mut failures = FailureSection::default();
+    for o in outcomes {
+        let Ok(stats) = &o.result else { continue };
+        count += stats.count;
+        if !o.memoized {
+            counters += &stats.counters;
+            failures.reexecuted_roots += stats.failures.reexecuted_roots;
+        }
+    }
+    RunStats::new(count, Duration::ZERO, Vec::new(), counters, failures)
 }
 
 fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query: Option<Duration>) {
@@ -620,7 +600,7 @@ fn executor_loop(engine: &Engine, inner: &ServiceInner, budget: u64, slow_query:
             let sections = if incidents.enabled() {
                 CaptureSections {
                     progress: engine.active_progress().iter().map(|p| progress_json(p)).collect(),
-                    counters: Some(counters_json(&engine.metrics().counter_snapshot())),
+                    counters: Some(counters_json(&engine.metrics().totals())),
                     ledger: None,
                 }
             } else {
@@ -660,6 +640,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
+    use gpm_obs::Counter;
     use gpm_pattern::oracle;
 
     fn service(machines: usize) -> (gpm_graph::Graph, MiningService) {
@@ -722,7 +703,11 @@ mod tests {
         assert_eq!(report.queries[0].count, expect_tri);
         assert!(report.queries[2].memoized);
         assert_eq!(report.queries[2].count, expect_tri);
-        assert_eq!(report.queries[2].traffic.fetch_requests, 0, "memo hit does no traffic");
+        assert_eq!(
+            report.queries[2].counters[Counter::FetchRequests],
+            0,
+            "memo hit does no traffic"
+        );
         assert_eq!(
             report.count,
             report.queries.iter().map(|q| q.count).sum::<u64>(),

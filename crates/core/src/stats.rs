@@ -1,5 +1,6 @@
-//! Run statistics: counts, timing breakdown, and traffic summary.
+//! Run statistics: counts, timing breakdown, and counters.
 
+use gpm_obs::{Counter, CounterValues, FailureSection};
 use std::time::Duration;
 
 /// Per-part timing and output of one run.
@@ -44,13 +45,12 @@ pub struct Breakdown {
     pub cache: f64,
 }
 
-/// Communication summary of one run (deltas over the run window).
+/// The traffic counters of one run as named fields, filled from
+/// [`RunStats::counters`] (which also holds every other counter).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficSummary {
     /// Bytes that crossed machine boundaries.
     pub network_bytes: u64,
-    /// Bytes that crossed only NUMA-socket boundaries.
-    pub cross_socket_bytes: u64,
     /// Fetch requests issued.
     pub requests: u64,
     /// Software-cache hits during the run.
@@ -62,6 +62,19 @@ pub struct TrafficSummary {
     /// Fetches re-submitted by the fabric's retry machinery (non-zero
     /// only under fault injection).
     pub retries: u64,
+}
+
+impl From<&CounterValues> for TrafficSummary {
+    fn from(c: &CounterValues) -> Self {
+        TrafficSummary {
+            network_bytes: c[Counter::NetworkBytes],
+            requests: c[Counter::FetchRequests],
+            cache_hits: c[Counter::CacheHits],
+            cache_misses: c[Counter::CacheMisses],
+            coalesced: c[Counter::Coalesced],
+            retries: c[Counter::Retries],
+        }
+    }
 }
 
 impl TrafficSummary {
@@ -87,34 +100,22 @@ impl PartStats {
     }
 }
 
-/// Fail-stop failure accounting of one run (deltas over the run window).
-/// All-zero for a fault-free run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FailureSummary {
-    /// Parts declared failed (fail-stop) during the run.
-    pub parts_failed: u64,
-    /// Fetches re-routed from a dead part to a live replica holder.
-    pub rerouted_requests: u64,
-    /// Bytes (request + response) moved by re-routed fetches.
-    pub rerouted_bytes: u64,
-    /// Roots re-executed on surviving parts by the recovery pass.
-    pub reexecuted_roots: u64,
-}
-
-/// Control-plane message accounting of one run (deltas over the run
-/// window). Non-zero only when the run coordinated steals and claims
-/// through the message-based ledger (`ControlMode::Msg`); the
-/// shared-memory carrier exchanges no messages. Deliberately *not*
-/// folded into [`TrafficSummary`], so shared-mode baselines stay
-/// bit-identical.
+/// The control-plane counters of one run as named fields, filled from
+/// [`RunStats::counters`]. Non-zero only when the run coordinated steals
+/// and claims through the message-based ledger (`ControlMode::Msg`); the
+/// shared-memory carrier exchanges no messages.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlSummary {
     /// Control requests sent, including retransmissions.
     pub sent: u64,
     /// Control requests re-sent after a timeout or injected fault.
     pub retried: u64,
-    /// Control replies dropped by fault injection.
-    pub dropped: u64,
+}
+
+impl From<&CounterValues> for ControlSummary {
+    fn from(c: &CounterValues) -> Self {
+        ControlSummary { sent: c[Counter::CtrlSent], retried: c[Counter::CtrlRetried] }
+    }
 }
 
 /// The result of one engine run.
@@ -126,16 +127,37 @@ pub struct RunStats {
     pub elapsed: Duration,
     /// Per-part detail.
     pub per_part: Vec<PartStats>,
-    /// Communication summary.
+    /// Every counter of the run (deltas over the run window), indexed by
+    /// [`Counter`].
+    pub counters: CounterValues,
+    /// The traffic rows of `counters` as named fields.
     pub traffic: TrafficSummary,
-    /// Fail-stop failure and failover accounting.
-    pub failures: FailureSummary,
-    /// Control-plane message accounting (all-zero under the
-    /// shared-memory carrier).
+    /// Fail-stop failure accounting (all-zero for a fault-free run).
+    pub failures: FailureSection,
+    /// The control-plane rows of `counters` as named fields.
     pub control: ControlSummary,
 }
 
 impl RunStats {
+    /// A run's stats, with the named-field views filled from `counters`.
+    pub fn new(
+        count: u64,
+        elapsed: Duration,
+        per_part: Vec<PartStats>,
+        counters: CounterValues,
+        failures: FailureSection,
+    ) -> RunStats {
+        RunStats {
+            count,
+            elapsed,
+            per_part,
+            counters,
+            traffic: (&counters).into(),
+            failures,
+            control: (&counters).into(),
+        }
+    }
+
     /// The simulated cluster makespan: the busiest part's accounted time
     /// (compute + network + scheduler + cache).
     ///
@@ -155,8 +177,8 @@ impl RunStats {
     }
 
     /// Converts this run into a [`gpm_obs::RunReport`] skeleton: count,
-    /// elapsed time, traffic totals (field-for-field from
-    /// [`TrafficSummary`]), breakdown fractions, and per-part detail.
+    /// elapsed time, counters, failures, breakdown fractions, and
+    /// per-part detail.
     /// Recorder-owned sections (histograms, gauge series, span
     /// accounting) stay empty; `Engine::report` fills them via
     /// `gpm_obs::Recorder::augment_report`.
@@ -167,15 +189,7 @@ impl RunStats {
             system: system.to_string(),
             count: self.count,
             elapsed_ns: self.elapsed.as_nanos() as u64,
-            traffic: gpm_obs::TrafficTotals {
-                fetch_requests: self.traffic.requests,
-                cache_hits: self.traffic.cache_hits,
-                cache_misses: self.traffic.cache_misses,
-                coalesced_requests: self.traffic.coalesced,
-                retries: self.traffic.retries,
-                network_bytes: self.traffic.network_bytes,
-                numa_bytes: self.traffic.cross_socket_bytes,
-            },
+            counters: self.counters,
             breakdown: gpm_obs::BreakdownFractions {
                 compute: b.compute,
                 network: b.network,
@@ -202,18 +216,8 @@ impl RunStats {
             series: Vec::new(),
             spans: gpm_obs::SpanStats::default(),
             critical_path: gpm_obs::CriticalPathSection::default(),
-            failures: gpm_obs::FailureSection {
-                parts_failed: self.failures.parts_failed,
-                rerouted_requests: self.failures.rerouted_requests,
-                rerouted_bytes: self.failures.rerouted_bytes,
-                reexecuted_roots: self.failures.reexecuted_roots,
-            },
+            failures: self.failures,
             rebalance: gpm_obs::RebalanceSection::default(),
-            control: gpm_obs::ControlSection {
-                sent: self.control.sent,
-                retried: self.control.retried,
-                dropped: self.control.dropped,
-            },
             queries: Vec::new(),
             incidents: Vec::new(),
         }
@@ -319,57 +323,35 @@ mod tests {
     }
 
     #[test]
-    fn report_mirrors_traffic_summary_counter_for_counter() {
-        let stats = RunStats {
+    fn report_and_views_carry_the_run_counters() {
+        let mut counters = CounterValues::default();
+        for (i, c) in gpm_obs::COUNTER_TABLE.iter().enumerate() {
+            counters[c.counter] = 10 + i as u64;
+        }
+        counters[Counter::CtrlRetried] = 3;
+        let per_part = vec![PartStats {
             count: 9,
-            elapsed: Duration::from_millis(2),
-            per_part: vec![PartStats {
-                count: 9,
-                compute: Duration::from_millis(1),
-                network: Duration::from_micros(500),
-                scheduler: Duration::from_micros(500),
-                peak_embeddings: 11,
-                ..PartStats::default()
-            }],
-            traffic: TrafficSummary {
-                network_bytes: 4096,
-                cross_socket_bytes: 256,
-                requests: 17,
-                cache_hits: 5,
-                cache_misses: 12,
-                coalesced: 3,
-                retries: 1,
-            },
-            failures: FailureSummary {
-                parts_failed: 1,
-                rerouted_requests: 2,
-                rerouted_bytes: 512,
-                reexecuted_roots: 6,
-            },
-            control: ControlSummary { sent: 40, retried: 3, dropped: 2 },
-        };
+            compute: Duration::from_millis(1),
+            network: Duration::from_micros(500),
+            scheduler: Duration::from_micros(500),
+            peak_embeddings: 11,
+            ..PartStats::default()
+        }];
+        let failures = FailureSection { parts_failed: 1, reexecuted_roots: 6 };
+        let stats = RunStats::new(9, Duration::from_millis(2), per_part, counters, failures);
+        assert_eq!(stats.traffic.requests, counters[Counter::FetchRequests]);
+        assert_eq!(stats.traffic.coalesced, counters[Counter::Coalesced]);
+        assert_eq!(stats.control.retried, 3);
         let r = stats.to_report("khuzdul");
         assert_eq!(r.system, "khuzdul");
         assert_eq!(r.count, stats.count);
         assert_eq!(r.elapsed_ns, 2_000_000);
-        assert_eq!(r.traffic.fetch_requests, stats.traffic.requests);
-        assert_eq!(r.traffic.cache_hits, stats.traffic.cache_hits);
-        assert_eq!(r.traffic.cache_misses, stats.traffic.cache_misses);
-        assert_eq!(r.traffic.coalesced_requests, stats.traffic.coalesced);
-        assert_eq!(r.traffic.retries, stats.traffic.retries);
-        assert_eq!(r.traffic.network_bytes, stats.traffic.network_bytes);
-        assert_eq!(r.traffic.numa_bytes, stats.traffic.cross_socket_bytes);
+        assert_eq!(r.counters, counters);
+        assert_eq!(r.failures, failures);
         let b = stats.breakdown();
         assert_eq!(r.breakdown.compute, b.compute);
         assert_eq!(r.per_part.len(), 1);
         assert_eq!(r.per_part[0].peak_embeddings, 11);
-        assert_eq!(r.failures.parts_failed, stats.failures.parts_failed);
-        assert_eq!(r.failures.rerouted_requests, stats.failures.rerouted_requests);
-        assert_eq!(r.failures.rerouted_bytes, stats.failures.rerouted_bytes);
-        assert_eq!(r.failures.reexecuted_roots, stats.failures.reexecuted_roots);
-        assert_eq!(r.control.sent, stats.control.sent);
-        assert_eq!(r.control.retried, stats.control.retried);
-        assert_eq!(r.control.dropped, stats.control.dropped);
         gpm_obs::validate_report(&r.to_json()).expect("converted report must validate");
     }
 

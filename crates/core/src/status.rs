@@ -29,9 +29,8 @@
 //!
 //! [`ClusterMetrics`]: gpm_cluster::ClusterMetrics
 
-use crate::service::{Completion, MiningService};
-use gpm_cluster::CounterSnapshot;
-use gpm_obs::{render_prometheus, PromKind, PromMetric, QueryProgress, Rollup};
+use crate::service::{completed_totals, Completion, MiningService};
+use gpm_obs::{render_prometheus, PromKind, PromMetric, QueryProgress, Rollup, COUNTER_TABLE};
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -131,7 +130,8 @@ fn serve_loop(
     quit: &AtomicBool,
 ) {
     let started = Instant::now();
-    let mut counter_names: Vec<&'static str> = CounterSnapshot::NAMES.to_vec();
+    let mut counter_names: Vec<&'static str> =
+        COUNTER_TABLE.iter().filter_map(|r| r.status).collect();
     counter_names.extend(SERVICE_COUNTERS);
     let mut rollup = Rollup::new(counter_names, ROLLUP_GAUGES.to_vec(), cfg.windows.max(1));
     let mut next_tick = Instant::now();
@@ -152,10 +152,10 @@ fn serve_loop(
 
 fn push_sample(rollup: &mut Rollup, svc: &MiningService, t_ns: u64) {
     let engine = svc.engine();
-    let cluster = engine.metrics().counter_snapshot();
+    let totals = engine.metrics().totals();
     let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
     let completed = svc.outcomes().len() as u64;
-    let mut counters = cluster.as_array().to_vec();
+    let mut counters: Vec<u64> = totals.status().map(|(_, v)| v).collect();
     counters.extend([memo_hits, memo_evictions, completed]);
     let active = engine.active_query_count() as u64;
     let gauges = [
@@ -212,37 +212,11 @@ fn handle_conn(
 }
 
 /// Builds `/metrics` from the completed outcomes — the exact sources
-/// [`MiningService::report`] sums — plus live service gauges.
+/// [`MiningService::report`] sums, through the same
+/// [`completed_totals`] — plus live service gauges.
 fn render_metrics(svc: &MiningService) -> String {
     let outcomes = svc.outcomes();
-    // Aggregate the completed, non-memoized outcomes, mirroring
-    // `MiningService::report` field for field.
-    let mut count = 0u64;
-    let mut traffic = [0u64; 7]; // requests, net, numa, hits, misses, coalesced, retries
-    let mut rerouted_requests = 0u64;
-    let mut rerouted_bytes = 0u64;
-    let mut reexecuted_roots = 0u64;
-    let mut ctrl = [0u64; 3]; // sent, retried, dropped
-    for o in &outcomes {
-        let Ok(stats) = &o.result else { continue };
-        count += stats.count;
-        if !o.memoized {
-            let t = &stats.traffic;
-            traffic[0] += t.requests;
-            traffic[1] += t.network_bytes;
-            traffic[2] += t.cross_socket_bytes;
-            traffic[3] += t.cache_hits;
-            traffic[4] += t.cache_misses;
-            traffic[5] += t.coalesced;
-            traffic[6] += t.retries;
-            rerouted_requests += stats.failures.rerouted_requests;
-            rerouted_bytes += stats.failures.rerouted_bytes;
-            reexecuted_roots += stats.failures.reexecuted_roots;
-            ctrl[0] += stats.control.sent;
-            ctrl[1] += stats.control.retried;
-            ctrl[2] += stats.control.dropped;
-        }
-    }
+    let totals = completed_totals(&outcomes);
     let engine = svc.engine();
     let (memo_entries, memo_hits, memo_evictions) = svc.memo_stats();
     let rebalance = engine.rebalance_section();
@@ -251,7 +225,7 @@ fn render_metrics(svc: &MiningService) -> String {
             "gpm_embeddings_total",
             "Embeddings counted by completed queries",
             PromKind::Counter,
-            count as f64,
+            totals.count as f64,
         ),
         PromMetric::scalar(
             "gpm_queries_admitted_total",
@@ -265,81 +239,25 @@ fn render_metrics(svc: &MiningService) -> String {
             PromKind::Counter,
             outcomes.len() as f64,
         ),
-        PromMetric::scalar(
-            "gpm_fetch_requests_total",
-            "Remote edge-list fetch requests of completed queries",
-            PromKind::Counter,
-            traffic[0] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_network_bytes_total",
-            "Cross-machine bytes of completed queries",
-            PromKind::Counter,
-            traffic[1] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_numa_bytes_total",
-            "Cross-socket bytes of completed queries",
-            PromKind::Counter,
-            traffic[2] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_cache_hits_total",
-            "Edge-list cache hits of completed queries",
-            PromKind::Counter,
-            traffic[3] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_cache_misses_total",
-            "Edge-list cache misses of completed queries",
-            PromKind::Counter,
-            traffic[4] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_coalesced_requests_total",
-            "Fetches coalesced into an identical in-flight request",
-            PromKind::Counter,
-            traffic[5] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_retries_total",
-            "Fetch retries of completed queries",
-            PromKind::Counter,
-            traffic[6] as f64,
-        ),
-        // The rerouted families carry the query-attributed aggregate as
-        // the bare sample plus one `holder`-labelled sample per replica
-        // that actually served rerouted traffic — the spread-failover
-        // split. Summing across label sets double-counts; read the bare
-        // sample for totals and the labelled ones for the split.
-        PromMetric {
-            name: "gpm_rerouted_requests_total",
-            help: "Fetches rerouted to a replica after a part death \
-                   (holder label: the split per serving replica)",
-            kind: PromKind::Counter,
-            samples: std::iter::once((Vec::new(), rerouted_requests as f64))
-                .chain(
-                    rebalance
-                        .per_holder_rerouted
-                        .iter()
-                        .map(|h| (vec![("holder", h.part.to_string())], h.requests as f64)),
-                )
-                .collect(),
-        },
-        PromMetric {
-            name: "gpm_rerouted_bytes_total",
-            help: "Bytes served by replicas after a part death \
-                   (holder label: the split per serving replica)",
-            kind: PromKind::Counter,
-            samples: std::iter::once((Vec::new(), rerouted_bytes as f64))
-                .chain(
-                    rebalance
-                        .per_holder_rerouted
-                        .iter()
-                        .map(|h| (vec![("holder", h.part.to_string())], h.bytes as f64)),
-                )
-                .collect(),
-        },
+    ];
+    // One family per exported table row: the bare sample is the total
+    // over completed queries; a holder-split family adds one
+    // `holder`-labelled sample per part that served any of it.
+    for row in &COUNTER_TABLE {
+        let Some((name, help)) = row.prom else { continue };
+        let mut samples = vec![(Vec::new(), totals.counters[row.counter] as f64)];
+        if let Some(split) = row.holder_split {
+            let cluster = engine.metrics();
+            for p in 0..cluster.part_count() {
+                let v = cluster.part(p).counters.get(split);
+                if v > 0 {
+                    samples.push((vec![("holder", p.to_string())], v as f64));
+                }
+            }
+        }
+        metrics.push(PromMetric { name, help, kind: PromKind::Counter, samples });
+    }
+    metrics.extend([
         PromMetric::scalar(
             "gpm_rebalance_transfers_total",
             "Slices re-replicated to a new holder by the background rebalancer",
@@ -368,7 +286,7 @@ fn render_metrics(svc: &MiningService) -> String {
             "gpm_reexecuted_roots_total",
             "Roots re-executed by recovery passes",
             PromKind::Counter,
-            reexecuted_roots as f64,
+            totals.failures.reexecuted_roots as f64,
         ),
         PromMetric::scalar(
             "gpm_parts_failed_total",
@@ -381,24 +299,6 @@ fn render_metrics(svc: &MiningService) -> String {
             "Incident bundles captured since the engine started",
             PromKind::Counter,
             engine.incidents().incidents().len() as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_sent_total",
-            "Control-plane messages sent by completed queries, retries included",
-            PromKind::Counter,
-            ctrl[0] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_retried_total",
-            "Control-plane message retries of completed queries",
-            PromKind::Counter,
-            ctrl[1] as f64,
-        ),
-        PromMetric::scalar(
-            "gpm_ctrl_dropped_total",
-            "Control-plane messages dropped by fault injection",
-            PromKind::Counter,
-            ctrl[2] as f64,
         ),
         PromMetric::scalar(
             "gpm_memo_entries",
@@ -436,7 +336,7 @@ fn render_metrics(svc: &MiningService) -> String {
             PromKind::Gauge,
             svc.uptime().as_secs_f64(),
         ),
-    ];
+    ]);
     // Claim round-trip latency of the message control plane. The
     // exporter has no native histogram kind, so the recorder snapshot's
     // percentiles go out as a quantile-labelled gauge; the Prometheus
@@ -671,6 +571,7 @@ mod tests {
     use crate::service::ServiceConfig;
     use gpm_graph::gen;
     use gpm_graph::partition::PartitionedGraph;
+    use gpm_obs::Counter;
     use gpm_pattern::plan::PlanOptions;
     use gpm_pattern::Pattern;
 
@@ -761,19 +662,22 @@ mod tests {
         let metrics = http_get(server.local_addr(), "/metrics");
         gpm_obs::validate_exposition(&metrics).expect("exposition must be well-formed");
         let report = svc.report("khuzdul-service");
-        assert!(report.control.sent > 0, "message mode must have coordinated via messages");
+        assert!(
+            report.counters[Counter::CtrlSent] > 0,
+            "message mode must have coordinated via messages"
+        );
         assert_eq!(
             gpm_obs::sample_value(&metrics, "gpm_ctrl_sent_total", None),
-            Some(report.control.sent as f64),
+            Some(report.counters[Counter::CtrlSent] as f64),
             "scrape must reconcile with the report's control section"
         );
         assert_eq!(
             gpm_obs::sample_value(&metrics, "gpm_ctrl_retried_total", None),
-            Some(report.control.retried as f64),
+            Some(report.counters[Counter::CtrlRetried] as f64),
         );
         assert_eq!(
             gpm_obs::sample_value(&metrics, "gpm_ctrl_dropped_total", None),
-            Some(report.control.dropped as f64),
+            Some(report.counters[Counter::CtrlDropped] as f64),
         );
         // Every claim acked means an RTT sample, so the quantile gauge
         // must be present with ordered percentiles, tail quantile and

@@ -7,8 +7,8 @@ use gpm_graph::{gen, GraphBuilder};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::{interp, Pattern};
 use khuzdul::{
-    CacheConfig, CachePolicy, ControlConfig, ControlMode, Engine, EngineConfig, EngineError,
-    FabricConfig, FaultPlan, RetryPolicy, StealConfig,
+    CacheConfig, CachePolicy, ControlConfig, ControlMode, Counter, Engine, EngineConfig,
+    EngineError, FabricConfig, FaultPlan, RetryPolicy, StealConfig,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -221,10 +221,8 @@ proptest! {
             ..EngineConfig::default()
         });
         let run = engine.try_count(&plan).expect("retries must mask dropped control replies");
-        let (retried, dropped) = (
-            engine.metrics().total_ctrl_retried(),
-            engine.metrics().total_ctrl_dropped(),
-        );
+        let totals = engine.metrics().totals();
+        let (retried, dropped) = (totals[Counter::CtrlRetried], totals[Counter::CtrlDropped]);
         engine.shutdown();
         prop_assert_eq!(run.count, expect);
         prop_assert!(retried > 0, "a 20% drop plan must force control retries");

@@ -11,10 +11,10 @@
 //! absolute time gate, which is exactly why the critical-path fractions
 //! (self-normalizing) are the headline check.
 
+use crate::counter::{Counter, Section};
 use crate::report::REPORT_SCHEMA_VERSION;
 use crate::validate::{
     as_map, as_seq, get, parse_json, req_fraction, req_u64, CRITICAL_PATH_FRACTION_KEYS,
-    TRAFFIC_KEYS,
 };
 use serde::Value;
 
@@ -103,11 +103,11 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
     let traffic_map =
         as_map(get(top, "traffic").ok_or(format!("{which}.traffic: missing"))?, "traffic")?;
     let mut traffic = Vec::new();
-    for key in TRAFFIC_KEYS {
+    for (_, key) in Section::Traffic.rows() {
         traffic.push((key.to_string(), req_u64(traffic_map, key, "traffic")?));
     }
-    let hits = req_u64(traffic_map, "cache_hits", "traffic")? as f64;
-    let misses = req_u64(traffic_map, "cache_misses", "traffic")? as f64;
+    let hits = req_u64(traffic_map, Counter::CacheHits.report_key(), "traffic")? as f64;
+    let misses = req_u64(traffic_map, Counter::CacheMisses.report_key(), "traffic")? as f64;
     let hit_rate = if hits + misses == 0.0 { 0.0 } else { hits / (hits + misses) };
 
     let per_part =
@@ -139,7 +139,7 @@ fn parse_report(json: &str, which: &str) -> Result<Parsed, String> {
         Some(v) => {
             let m = as_map(v, "control")?;
             let mut c = Vec::new();
-            for key in ["sent", "retried", "dropped"] {
+            for (_, key) in Section::Control.rows() {
                 c.push((key.to_string(), req_u64(m, key, "control")?));
             }
             Some(c)
@@ -314,25 +314,30 @@ pub fn diff_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counter::CounterValues;
     use crate::report::{
-        CriticalPathFractions, CriticalPathSection, PartReport, RunReport, SpanStats, TrafficTotals,
+        CriticalPathFractions, CriticalPathSection, PartReport, RunReport, SpanStats,
     };
 
     fn base_report() -> RunReport {
+        let mut counters = CounterValues::default();
+        for (c, v) in [
+            (Counter::FetchRequests, 1000),
+            (Counter::CacheHits, 600),
+            (Counter::CacheMisses, 400),
+            (Counter::Coalesced, 50),
+            (Counter::Retries, 4),
+            (Counter::NetworkBytes, 1 << 20),
+            (Counter::NumaBytes, 1 << 10),
+        ] {
+            counters[c] = v;
+        }
         RunReport {
             schema_version: REPORT_SCHEMA_VERSION,
             system: "khuzdul".to_string(),
             count: 100,
             elapsed_ns: 1_000_000,
-            traffic: TrafficTotals {
-                fetch_requests: 1000,
-                cache_hits: 600,
-                cache_misses: 400,
-                coalesced_requests: 50,
-                retries: 4,
-                network_bytes: 1 << 20,
-                numa_bytes: 1 << 10,
-            },
+            counters,
             breakdown: Default::default(),
             per_part: (0..4)
                 .map(|p| PartReport {
@@ -359,7 +364,6 @@ mod tests {
             },
             failures: Default::default(),
             rebalance: Default::default(),
-            control: Default::default(),
             queries: Vec::new(),
             incidents: Vec::new(),
         }
@@ -414,9 +418,9 @@ mod tests {
     fn traffic_blowup_and_hit_rate_drop_fail() {
         let base = base_report().to_json();
         let mut cand = base_report();
-        cand.traffic.network_bytes *= 2;
-        cand.traffic.cache_hits = 300;
-        cand.traffic.cache_misses = 700;
+        cand.counters[Counter::NetworkBytes] *= 2;
+        cand.counters[Counter::CacheHits] = 300;
+        cand.counters[Counter::CacheMisses] = 700;
         let d = diff_reports(&base, &cand.to_json(), &DiffThresholds::default()).unwrap();
         assert!(d.regressions.iter().any(|r| r.contains("network_bytes")));
         assert!(d.regressions.iter().any(|r| r.contains("cache_hit_rate")));
@@ -533,7 +537,8 @@ mod tests {
         assert!(!stripped.contains("\"control\""));
 
         let mut cand = base_report();
-        cand.control = crate::report::ControlSection { sent: 10, retried: 1, dropped: 0 };
+        cand.counters[Counter::CtrlSent] = 10;
+        cand.counters[Counter::CtrlRetried] = 1;
         let cand_json = cand.to_json();
         let d = diff_reports(&stripped, &cand_json, &DiffThresholds::default()).unwrap();
         assert!(d.passed(), "regressions: {:?}", d.regressions);
@@ -542,7 +547,9 @@ mod tests {
         // When both sides carry the section, the values show up in the
         // comparison log — but adverse movement never gates.
         let mut noisy = base_report();
-        noisy.control = crate::report::ControlSection { sent: 9999, retried: 500, dropped: 10 };
+        noisy.counters[Counter::CtrlSent] = 9999;
+        noisy.counters[Counter::CtrlRetried] = 500;
+        noisy.counters[Counter::CtrlDropped] = 10;
         let d = diff_reports(&cand_json, &noisy.to_json(), &DiffThresholds::default()).unwrap();
         assert!(d.compared.iter().any(|l| l.contains("control.sent")));
         assert!(d.passed(), "regressions: {:?}", d.regressions);

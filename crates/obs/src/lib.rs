@@ -18,6 +18,9 @@
 //!   shard merging ([`HistogramSnapshot::merge`]).
 //! * **Gauges** ([`GaugeSample`]) — per-part utilization samples taken on
 //!   a configurable tick ([`ObsConfig::tick`]), forming a time series.
+//! * **Counters** ([`Counter`], [`COUNTER_TABLE`]) — one table row per
+//!   fabric and control-plane counter naming its scope, report key,
+//!   `/status` name and Prometheus family; every sink iterates it.
 //! * **Flight ring** ([`FlightRecorder`]) — an always-on bounded ring of
 //!   coarse events (steals, retries, failovers, admits) that survives to
 //!   be snapshotted into incident bundles even when span tracing is off.
@@ -25,7 +28,7 @@
 //!   ([`Recorder::chrome_trace`], loadable in `chrome://tracing` or
 //!   Perfetto) and a versioned machine-readable [`RunReport`]
 //!   (schema [`REPORT_SCHEMA_VERSION`]) that subsumes the engine's
-//!   `TrafficSummary`/`Breakdown` and adds percentiles per metric.
+//!   `RunStats` and adds percentiles per metric.
 //! * **Causal links** — spans of one request lifecycle share a nonzero
 //!   [`Span::link`]; the trace exporter renders them as flow arrows
 //!   (issue → serve → wait), [`critical_path`] decomposes wall time
@@ -39,6 +42,7 @@
 
 #![warn(missing_docs)]
 
+mod counter;
 mod critical;
 mod diff;
 mod export;
@@ -52,6 +56,7 @@ mod span;
 mod trace;
 mod validate;
 
+pub use counter::{Counter, CounterRow, CounterValues, Scope, Section, COUNTER_TABLE};
 pub use critical::critical_path;
 pub use diff::{diff_reports, DiffThresholds, ReportDiff};
 pub use export::{render_prometheus, sample_value, validate_exposition, PromKind, PromMetric};
@@ -60,10 +65,9 @@ pub use hist::{bucket_of, bucket_upper, Histogram, HistogramSnapshot, BUCKETS};
 pub use progress::{PartProgress, QueryProgress};
 pub use recorder::{GaugeSample, Metric, ObsHandle, Recorder};
 pub use report::{
-    BreakdownFractions, ControlSection, CriticalPathFractions, CriticalPathSection, FailureSection,
-    HolderReroute, IncidentSummary, NamedHistogram, PartCriticalPath, PartReport, QueryReport,
-    RebalanceSection, RingOccupancy, RunReport, SeriesPoint, SpanStats, TrafficTotals,
-    REPORT_SCHEMA_VERSION,
+    BreakdownFractions, CriticalPathFractions, CriticalPathSection, FailureSection, HolderReroute,
+    IncidentSummary, NamedHistogram, PartCriticalPath, PartReport, QueryReport, RebalanceSection,
+    RingOccupancy, RunReport, SeriesPoint, SpanStats, REPORT_SCHEMA_VERSION,
 };
 pub use rollup::{Rollup, Window};
 pub use span::{Span, SpanKind};

@@ -1,7 +1,8 @@
 //! The versioned machine-readable `RunReport`.
 
+use crate::counter::{Counter, CounterValues, Section};
 use crate::hist::HistogramSnapshot;
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// Schema version written into every report. Bump on any
 /// field removal/rename or semantic change; additive fields keep the
@@ -33,26 +34,6 @@ use serde::Serialize;
 /// spread-failover accounting (readers treat a missing section as
 /// disabled/all-zero).
 pub const REPORT_SCHEMA_VERSION: u64 = 4;
-
-/// End-of-run traffic totals, mirroring the engine's `TrafficSummary`
-/// counter-for-counter so the two can be diffed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct TrafficTotals {
-    /// Remote adjacency requests issued over the fabric.
-    pub fetch_requests: u64,
-    /// Lookups answered by the never-evict static cache.
-    pub cache_hits: u64,
-    /// Lookups that went to the fabric because the cache missed.
-    pub cache_misses: u64,
-    /// Requests merged into an already-pending fetch.
-    pub coalesced_requests: u64,
-    /// Fetches resubmitted after a timeout or transient fault.
-    pub retries: u64,
-    /// Bytes moved across the simulated machine boundary.
-    pub network_bytes: u64,
-    /// Bytes moved between NUMA sockets on the same machine.
-    pub numa_bytes: u64,
-}
 
 /// Runtime breakdown fractions (sum to 1 when any time was accounted,
 /// all zero otherwise — never NaN).
@@ -190,19 +171,16 @@ pub struct CriticalPathSection {
     pub per_part: Vec<PartCriticalPath>,
 }
 
-/// Fail-stop failure accounting (schema v3). All-zero for a fault-free
-/// run. `report-validate` warns when `parts_failed > 0` but
-/// `rerouted_bytes == 0` — a part died and failover never engaged, so
-/// the run either had no replicas or lost data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+/// The run-level entries of the report's `failures` section (schema
+/// v3), written around its table-driven counters (`rerouted_requests`,
+/// `rerouted_bytes`). All-zero for a fault-free run. `report-validate`
+/// warns when `parts_failed > 0` but `rerouted_bytes == 0` — a part
+/// died and failover never engaged, so the run either had no replicas
+/// or lost data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FailureSection {
     /// Parts declared failed (fail-stop) during the run.
     pub parts_failed: u64,
-    /// Fetches re-routed from a dead part to a live replica holder.
-    pub rerouted_requests: u64,
-    /// Bytes (request + response) moved by re-routed fetches, accounted
-    /// separately from regular traffic.
-    pub rerouted_bytes: u64,
     /// Roots re-executed on surviving parts by the recovery pass.
     pub reexecuted_roots: u64,
 }
@@ -250,22 +228,6 @@ pub struct RebalanceSection {
     pub per_holder_rerouted: Vec<HolderReroute>,
 }
 
-/// Control-plane message accounting (additive in v4): the steal/claim
-/// protocol's typed messages when the run coordinated through the
-/// message-based ledger (`--control msg`). All-zero under the
-/// shared-memory carrier, which exchanges no messages. `sent` counts
-/// every attempt (first sends *and* retries), so `sent - retried` is the
-/// number of distinct operations issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct ControlSection {
-    /// Control requests sent, including retransmissions.
-    pub sent: u64,
-    /// Control requests re-sent after a timeout or injected fault.
-    pub retried: u64,
-    /// Control replies dropped by fault injection.
-    pub dropped: u64,
-}
-
 /// Summary of one incident bundle captured during the run (additive in
 /// v4). The full schema-validated bundle — flight-ring slice, progress
 /// snapshots, rollup windows, scheduler state — lives on disk at
@@ -288,7 +250,7 @@ pub struct IncidentSummary {
 /// Per-query section of a multi-tenant service report (schema v4). One
 /// entry per admitted query, in admission order; a plain single-run
 /// report carries an empty `queries` list.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QueryReport {
     /// Engine-assigned query id (nonzero; spans carry it in
     /// `Span::query`).
@@ -303,9 +265,10 @@ pub struct QueryReport {
     pub count: u64,
     /// Wall-clock from admission to completion, nanoseconds.
     pub elapsed_ns: u64,
-    /// Traffic attributed to this query by the query-scoped fabric
-    /// counters.
-    pub traffic: TrafficTotals,
+    /// This query's counters, from the query-scoped fabric and control
+    /// counters; written as its `traffic`, `failures` and (additive in
+    /// v4) `control` sections.
+    pub counters: CounterValues,
     /// Fail-stop failures observed while this query ran.
     pub failures: FailureSection,
     /// Critical-path attribution over this query's spans only.
@@ -322,17 +285,14 @@ pub struct QueryReport {
     pub memo_entries: u64,
     /// Cumulative memo evictions by the time this query completed.
     pub memo_evictions: u64,
-    /// Control-plane messages attributed to this query (additive in v4;
-    /// all-zero under the shared-memory carrier).
-    pub control: ControlSection,
 }
 
 /// The versioned run report written by `--report-out`.
 ///
-/// Subsumes the engine's `TrafficSummary`/`Breakdown` and adds
-/// percentile histograms and the gauge time series, so benches and CI
-/// diff one artifact instead of scraping stdout.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Subsumes the engine's `RunStats` and adds percentile histograms and
+/// the gauge time series, so benches and CI diff one artifact instead
+/// of scraping stdout.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Report schema version ([`REPORT_SCHEMA_VERSION`]).
     pub schema_version: u64,
@@ -342,8 +302,11 @@ pub struct RunReport {
     pub count: u64,
     /// Wall-clock elapsed, nanoseconds.
     pub elapsed_ns: u64,
-    /// Traffic totals (mirror of `TrafficSummary`).
-    pub traffic: TrafficTotals,
+    /// The run's counters, written as the `traffic`, `failures` and
+    /// `control` sections: one key per [`crate::COUNTER_TABLE`] row that
+    /// has a report key. `control` (additive in v4) is all-zero under
+    /// the shared-memory carrier.
+    pub counters: CounterValues,
     /// Runtime breakdown fractions (mirror of `Breakdown`).
     pub breakdown: BreakdownFractions,
     /// Per-part counters.
@@ -357,15 +320,11 @@ pub struct RunReport {
     /// Critical-path attribution from linked spans (all-zero when the
     /// run recorded no spans).
     pub critical_path: CriticalPathSection,
-    /// Fail-stop failure and failover accounting (all-zero for a
-    /// fault-free run).
+    /// Fail-stop failure accounting (all-zero for a fault-free run).
     pub failures: FailureSection,
     /// Self-healing re-replication and spread-failover accounting
     /// (additive in v4; `enabled: false` without the rebalancer).
     pub rebalance: RebalanceSection,
-    /// Control-plane message accounting (additive in v4; all-zero under
-    /// the shared-memory carrier).
-    pub control: ControlSection,
     /// Per-query sections of a multi-tenant service run (schema v4),
     /// in admission order; empty for a single-query run.
     pub queries: Vec<QueryReport>,
@@ -374,22 +333,75 @@ pub struct RunReport {
     pub incidents: Vec<IncidentSummary>,
 }
 
-impl TrafficTotals {
-    /// Static-cache hit rate over all lookups, 0.0 when none.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
+/// The `traffic`, `failures` and `control` sections of `counters`, in
+/// table order; `failures` opens with `parts_failed` and closes with
+/// `reexecuted_roots`.
+fn counter_sections(counters: &CounterValues, f: &FailureSection) -> [Value; 3] {
+    let section = |s: Section| counters.section(s).map(|(k, v)| (k.to_string(), Value::UInt(v)));
+    let failures = [("parts_failed".to_string(), Value::UInt(f.parts_failed))]
+        .into_iter()
+        .chain(section(Section::Failures))
+        .chain([("reexecuted_roots".to_string(), Value::UInt(f.reexecuted_roots))]);
+    [
+        Value::Map(section(Section::Traffic).collect()),
+        Value::Map(failures.collect()),
+        Value::Map(section(Section::Control).collect()),
+    ]
+}
+
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+impl Serialize for QueryReport {
+    fn to_value(&self) -> Value {
+        let [traffic, failures, control] = counter_sections(&self.counters, &self.failures);
+        object([
+            ("query_id", self.query_id.to_value()),
+            ("pattern", self.pattern.to_value()),
+            ("memoized", self.memoized.to_value()),
+            ("count", self.count.to_value()),
+            ("elapsed_ns", self.elapsed_ns.to_value()),
+            (Section::Traffic.key(), traffic),
+            (Section::Failures.key(), failures),
+            ("critical_path", self.critical_path.to_value()),
+            ("roots_total", self.roots_total.to_value()),
+            ("roots_completed", self.roots_completed.to_value()),
+            ("memo_entries", self.memo_entries.to_value()),
+            ("memo_evictions", self.memo_evictions.to_value()),
+            (Section::Control.key(), control),
+        ])
+    }
+}
+
+impl Serialize for RunReport {
+    fn to_value(&self) -> Value {
+        let [traffic, failures, control] = counter_sections(&self.counters, &self.failures);
+        object([
+            ("schema_version", self.schema_version.to_value()),
+            ("system", self.system.to_value()),
+            ("count", self.count.to_value()),
+            ("elapsed_ns", self.elapsed_ns.to_value()),
+            (Section::Traffic.key(), traffic),
+            ("breakdown", self.breakdown.to_value()),
+            ("per_part", self.per_part.to_value()),
+            ("histograms", self.histograms.to_value()),
+            ("series", self.series.to_value()),
+            ("spans", self.spans.to_value()),
+            ("critical_path", self.critical_path.to_value()),
+            (Section::Failures.key(), failures),
+            ("rebalance", self.rebalance.to_value()),
+            (Section::Control.key(), control),
+            ("queries", self.queries.to_value()),
+            ("incidents", self.incidents.to_value()),
+        ])
     }
 }
 
 impl RunReport {
-    /// Pretty JSON with a trailing newline. Field order follows the
-    /// struct declaration and floats render via `{:?}`, so two reports
-    /// built from identical data serialize to identical bytes.
+    /// Pretty JSON with a trailing newline. Key order is fixed and floats
+    /// render via `{:?}`, so two reports built from identical data
+    /// serialize to identical bytes.
     pub fn to_json(&self) -> String {
         let mut s = serde_json::to_string_pretty(self).expect("in-memory serialization");
         s.push('\n');
@@ -412,7 +424,7 @@ impl RunReport {
         }
         let seconds = self.elapsed_ns as f64 / 1e9;
         let capacity_bytes = bandwidth_gbps * 1e9 / 8.0 * seconds * machines as f64;
-        (self.traffic.network_bytes as f64 / capacity_bytes).min(1.0)
+        (self.counters[Counter::NetworkBytes] as f64 / capacity_bytes).min(1.0)
     }
 
     /// The histogram named `name`, if present.
@@ -471,21 +483,34 @@ impl RunReport {
 mod tests {
     use super::*;
 
+    fn sample_counters() -> CounterValues {
+        let mut c = CounterValues::default();
+        for (counter, v) in [
+            (Counter::FetchRequests, 10),
+            (Counter::CacheHits, 30),
+            (Counter::CacheMisses, 10),
+            (Counter::Coalesced, 2),
+            (Counter::Retries, 1),
+            (Counter::NetworkBytes, 4096),
+            (Counter::NumaBytes, 512),
+            (Counter::ReroutedRequests, 4),
+            (Counter::ReroutedBytes, 2048),
+            (Counter::CtrlSent, 120),
+            (Counter::CtrlRetried, 6),
+            (Counter::CtrlDropped, 4),
+        ] {
+            c[counter] = v;
+        }
+        c
+    }
+
     fn sample() -> RunReport {
         RunReport {
             schema_version: REPORT_SCHEMA_VERSION,
             system: "khuzdul".to_string(),
             count: 42,
             elapsed_ns: 1_000_000_000,
-            traffic: TrafficTotals {
-                fetch_requests: 10,
-                cache_hits: 30,
-                cache_misses: 10,
-                coalesced_requests: 2,
-                retries: 1,
-                network_bytes: 4096,
-                numa_bytes: 512,
-            },
+            counters: sample_counters(),
             breakdown: BreakdownFractions {
                 compute: 0.5,
                 network: 0.3,
@@ -536,12 +561,7 @@ mod tests {
                     unlinked_waits: 1,
                 }],
             },
-            failures: FailureSection {
-                parts_failed: 1,
-                rerouted_requests: 4,
-                rerouted_bytes: 2048,
-                reexecuted_roots: 9,
-            },
+            failures: FailureSection { parts_failed: 1, reexecuted_roots: 9 },
             rebalance: RebalanceSection {
                 enabled: true,
                 transfers: 2,
@@ -556,28 +576,14 @@ mod tests {
                     HolderReroute { part: 2, requests: 1, bytes: 512 },
                 ],
             },
-            control: ControlSection { sent: 120, retried: 6, dropped: 4 },
             queries: vec![QueryReport {
                 query_id: 1,
                 pattern: "triangle".to_string(),
                 memoized: false,
                 count: 42,
                 elapsed_ns: 900_000_000,
-                traffic: TrafficTotals {
-                    fetch_requests: 10,
-                    cache_hits: 30,
-                    cache_misses: 10,
-                    coalesced_requests: 2,
-                    retries: 1,
-                    network_bytes: 4096,
-                    numa_bytes: 512,
-                },
-                failures: FailureSection {
-                    parts_failed: 1,
-                    rerouted_requests: 4,
-                    rerouted_bytes: 2048,
-                    reexecuted_roots: 9,
-                },
+                counters: sample_counters(),
+                failures: FailureSection { parts_failed: 1, reexecuted_roots: 9 },
                 critical_path: CriticalPathSection {
                     fractions: CriticalPathFractions {
                         compute: 0.5,
@@ -591,7 +597,6 @@ mod tests {
                 roots_completed: 309,
                 memo_entries: 1,
                 memo_evictions: 0,
-                control: ControlSection { sent: 120, retried: 6, dropped: 4 },
             }],
             incidents: vec![IncidentSummary {
                 id: "incident-000001-part_failed".to_string(),
@@ -634,12 +639,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_rate_handles_zero() {
-        assert_eq!(TrafficTotals::default().cache_hit_rate(), 0.0);
-        assert_eq!(sample().traffic.cache_hit_rate(), 0.75);
-    }
-
-    #[test]
     fn network_utilization_bounds() {
         let r = sample();
         let u = r.network_utilization(56.0, 2);
@@ -648,6 +647,38 @@ mod tests {
         let mut empty = sample();
         empty.elapsed_ns = 0;
         assert_eq!(empty.network_utilization(56.0, 2), 0.0);
+    }
+
+    #[test]
+    fn counter_sections_keep_the_schema_key_order() {
+        let doc = crate::parse_json(&sample().to_json()).unwrap();
+        let keys = |v: &Value| -> Vec<String> {
+            let Value::Map(m) = v else { panic!("expected an object") };
+            m.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let Value::Map(top) = &doc else { panic!("report root is an object") };
+        let section = |name: &str| keys(&top.iter().find(|(k, _)| k == name).unwrap().1);
+        assert_eq!(
+            section("traffic"),
+            [
+                "fetch_requests",
+                "cache_hits",
+                "cache_misses",
+                "coalesced_requests",
+                "retries",
+                "network_bytes",
+                "numa_bytes"
+            ]
+        );
+        assert_eq!(
+            section("failures"),
+            ["parts_failed", "rerouted_requests", "rerouted_bytes", "reexecuted_roots"]
+        );
+        assert_eq!(section("control"), ["sent", "retried", "dropped"]);
+        assert_eq!(
+            keys(&doc)[..5],
+            ["schema_version", "system", "count", "elapsed_ns", "traffic"].map(String::from)
+        );
     }
 
     #[test]

@@ -4,18 +4,29 @@
 //! parses with a small recursive-descent parser here and validates the
 //! resulting [`Value`] tree structurally.
 
+use crate::counter::{Counter, Section};
 use crate::report::REPORT_SCHEMA_VERSION;
 use serde::Value;
+
+/// Deepest array/object nesting [`parse_json`] accepts. Reports, traces
+/// and bundles nest fewer than 10 levels; the cap keeps a hostile file
+/// from overflowing the parser's stack.
+const MAX_DEPTH: usize = 64;
 
 /// Parses a JSON document into the vendored [`Value`] tree.
 ///
 /// Supports the subset the exporters emit: objects, arrays, strings with
 /// the standard escapes, numbers (integers parse as `UInt`/`Int`, others
 /// as `Float`), booleans, and `null`.
+///
+/// # Errors
+///
+/// Returns a message for malformed input and for arrays or objects
+/// nested deeper than 64 levels.
 pub fn parse_json(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -29,12 +40,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {pos}", pos = *pos))
+        }
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_literal(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false", Value::Bool(false)),
@@ -52,7 +67,7 @@ fn parse_literal(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '{'
     let mut entries = Vec::new();
     skip_ws(b, pos);
@@ -68,7 +83,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         entries.push((key, val));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -82,7 +97,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -91,7 +106,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Seq(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -142,12 +157,13 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Copy the full UTF-8 scalar starting here.
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // escape. Both are ASCII, so the run ends on a character
+                // boundary of the (already valid UTF-8) input.
+                let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+                let end = run.map_or(b.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+                *pos = end;
             }
         }
     }
@@ -238,16 +254,6 @@ pub(crate) fn req_fraction(map: &[(String, Value)], key: &str, ctx: &str) -> Res
     Ok(f)
 }
 
-pub(crate) const TRAFFIC_KEYS: [&str; 7] = [
-    "fetch_requests",
-    "cache_hits",
-    "cache_misses",
-    "coalesced_requests",
-    "retries",
-    "network_bytes",
-    "numa_bytes",
-];
-
 const PART_KEYS: [&str; 9] = [
     "part",
     "count",
@@ -266,13 +272,6 @@ const HIST_KEYS: [&str; 5] = ["count", "sum", "p50", "p95", "p99"];
 /// with `report diff` so the gate and the validator check one list.
 pub(crate) const CRITICAL_PATH_FRACTION_KEYS: [&str; 4] =
     ["compute", "fetch_wait", "responder_queue", "retry_backoff"];
-
-/// Counter keys of the v3 failure section, in report order.
-const FAILURE_KEYS: [&str; 4] =
-    ["parts_failed", "rerouted_requests", "rerouted_bytes", "reexecuted_roots"];
-
-/// Counter keys of the (additive-in-v4, optional) control section.
-const CONTROL_KEYS: [&str; 3] = ["sent", "retried", "dropped"];
 
 /// Counter keys of the (additive-in-v4, optional) rebalance section.
 const REBALANCE_KEYS: [&str; 7] = [
@@ -379,31 +378,37 @@ fn check_rebalance(parent: &[(String, Value)], warnings: &mut Vec<String>) -> Re
 fn check_control(parent: &[(String, Value)], ctx: &str) -> Result<(), String> {
     let Some(ctrl) = get(parent, "control") else { return Ok(()) };
     let m = as_map(ctrl, ctx)?;
-    for key in CONTROL_KEYS {
+    for (_, key) in Section::Control.rows() {
         req_u64(m, key, ctx)?;
     }
-    let (sent, retried) = (req_u64(m, "sent", ctx)?, req_u64(m, "retried", ctx)?);
+    let sent = req_u64(m, Counter::CtrlSent.report_key(), ctx)?;
+    let retried = req_u64(m, Counter::CtrlRetried.report_key(), ctx)?;
     if retried > sent {
         return Err(format!("{ctx}: retried {retried} > sent {sent}"));
     }
     Ok(())
 }
 
-/// Checks a traffic section: all [`TRAFFIC_KEYS`] present as u64.
+/// Checks a traffic section: every traffic row of the counter table
+/// present as u64.
 fn check_traffic(map: &[(String, Value)], ctx: &str) -> Result<(), String> {
-    for key in TRAFFIC_KEYS {
+    for (_, key) in Section::Traffic.rows() {
         req_u64(map, key, ctx)?;
     }
     Ok(())
 }
 
-/// Checks a failures section; returns `(parts_failed, rerouted_bytes)`
-/// so the caller can decide whether to warn.
+/// Checks a failures section: its two run-level entries and every
+/// failures row of the counter table present as u64. Returns
+/// `(parts_failed, rerouted_bytes)` so the caller can decide whether to
+/// warn.
 fn check_failures(map: &[(String, Value)], ctx: &str) -> Result<(u64, u64), String> {
-    for key in FAILURE_KEYS {
+    let parts_failed = req_u64(map, "parts_failed", ctx)?;
+    for (_, key) in Section::Failures.rows() {
         req_u64(map, key, ctx)?;
     }
-    Ok((req_u64(map, "parts_failed", ctx)?, req_u64(map, "rerouted_bytes", ctx)?))
+    req_u64(map, "reexecuted_roots", ctx)?;
+    Ok((parts_failed, req_u64(map, Counter::ReroutedBytes.report_key(), ctx)?))
 }
 
 /// Checks a critical-path section: fractions in `[0, 1]` summing to
@@ -738,6 +743,27 @@ mod tests {
         assert_eq!(parse_json(&compact).unwrap(), v);
         let pretty = serde_json::to_string_pretty(&v).unwrap();
         assert_eq!(parse_json(&pretty).unwrap(), v);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse_json(&deep).unwrap_err().contains("nesting"));
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(parse_json(&objects).unwrap_err().contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+    }
+
+    #[test]
+    fn multi_megabyte_string_document_round_trips() {
+        let strings: Vec<Value> = (0..200_000)
+            .map(|i| Value::Str(format!("abcdefghijklmnop-{i}-\u{e9}\u{1f600}\"\\")))
+            .collect();
+        let v = Value::Map(vec![("strings".to_string(), Value::Seq(strings))]);
+        let json = serde_json::to_string(&v).unwrap();
+        assert!(json.len() > 5_000_000, "{} bytes", json.len());
+        assert_eq!(parse_json(&json).unwrap(), v);
     }
 
     #[test]

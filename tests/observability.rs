@@ -3,14 +3,14 @@
 //!
 //! * a Chrome trace that validates and puts chunk work, bucket rounds,
 //!   and fetches on distinct tracks, and
-//! * a `RunReport` whose traffic totals match the legacy
-//!   `TrafficSummary` counter-for-counter.
+//! * a `RunReport` whose counters match the run's
+//!   `TrafficSummary` view counter-for-counter.
 
 use gpm_graph::{gen, partition::PartitionedGraph};
 use gpm_obs::{parse_json, validate_report, validate_trace, RunReport};
 use gpm_pattern::plan::{MatchingPlan, PlanOptions};
 use gpm_pattern::Pattern;
-use khuzdul::{Engine, EngineConfig, ObsConfig, RunStats};
+use khuzdul::{Counter, Engine, EngineConfig, ObsConfig, RunStats};
 use serde::Value;
 use std::collections::{HashMap, HashSet};
 
@@ -55,14 +55,14 @@ fn report_totals_match_legacy_traffic_summary() {
     validate_report(&report.to_json()).expect("report must validate");
     assert_eq!(report.count, run.count);
     assert_eq!(report.elapsed_ns, run.elapsed.as_nanos() as u64);
-    // Counter-for-counter against the legacy TrafficSummary.
-    assert_eq!(report.traffic.fetch_requests, run.traffic.requests);
-    assert_eq!(report.traffic.cache_hits, run.traffic.cache_hits);
-    assert_eq!(report.traffic.cache_misses, run.traffic.cache_misses);
-    assert_eq!(report.traffic.coalesced_requests, run.traffic.coalesced);
-    assert_eq!(report.traffic.retries, run.traffic.retries);
-    assert_eq!(report.traffic.network_bytes, run.traffic.network_bytes);
-    assert_eq!(report.traffic.numa_bytes, run.traffic.cross_socket_bytes);
+    // Counter-for-counter against the run's TrafficSummary view.
+    assert_eq!(report.counters[Counter::FetchRequests], run.traffic.requests);
+    assert_eq!(report.counters[Counter::CacheHits], run.traffic.cache_hits);
+    assert_eq!(report.counters[Counter::CacheMisses], run.traffic.cache_misses);
+    assert_eq!(report.counters[Counter::Coalesced], run.traffic.coalesced);
+    assert_eq!(report.counters[Counter::Retries], run.traffic.retries);
+    assert_eq!(report.counters[Counter::NetworkBytes], run.traffic.network_bytes);
+    assert_eq!(report.counters, run.counters);
     // The recorder-owned sections are populated: every metric has a
     // histogram entry and the fetch latency histogram saw real fetches.
     assert_eq!(report.histograms.len(), gpm_obs::Metric::ALL.len());
@@ -208,6 +208,6 @@ fn disabled_tracing_records_nothing_but_still_reports_counters() {
     assert_eq!(report.spans.recorded, 0);
     assert!(report.series.is_empty());
     // Counters still flow through the report even with tracing off.
-    assert_eq!(report.traffic.fetch_requests, run.traffic.requests);
+    assert_eq!(report.counters[Counter::FetchRequests], run.traffic.requests);
     validate_report(&report.to_json()).expect("disabled-run report must validate");
 }

@@ -7,7 +7,7 @@
 //! typed `PartLost`, never a wrong count) must reproduce verbatim.
 
 use khuzdul::{
-    CacheConfig, CachePolicy, ControlConfig, ControlMode, CrashAt, Engine, EngineConfig,
+    CacheConfig, CachePolicy, ControlConfig, ControlMode, Counter, CrashAt, Engine, EngineConfig,
     EngineError, FabricConfig, FaultPlan, ObsConfig, RebalanceConfig, RetryPolicy, StealConfig,
 };
 use khuzdul_repro::graph::partition::{PartitionedGraph, Partitioner};
@@ -54,7 +54,7 @@ fn probe_requests(g: &Graph, p: &Pattern, replication: usize) -> u64 {
     let pg = PartitionedGraph::with_replication(g, 4, 1, replication);
     let engine = Engine::new(pg, crashy(ControlMode::Shared, true, vec![]));
     engine.try_count(&plan(p)).expect("fault-free probe");
-    let total = (0..4).map(|q| engine.metrics().part(q).requests()).sum();
+    let total = (0..4).map(|q| engine.metrics().part(q).counters.get(Counter::FetchRequests)).sum();
     engine.shutdown();
     total
 }
@@ -180,7 +180,7 @@ fn rerouted_fetches_spread_across_live_holders() {
     );
     let run = engine.try_count(&plan(&p)).expect("two replicas must mask the crash");
     assert_eq!(run.count, expect);
-    assert!(run.failures.rerouted_requests > 0, "the crash must actually reroute traffic");
+    assert!(run.counters[Counter::ReroutedRequests] > 0, "the crash must actually reroute traffic");
     let health = engine.part_health();
     assert_eq!(health[2].rerouted_served_bytes, 0, "a dead part serves nothing");
     let served: Vec<(usize, u64)> = health

@@ -5,8 +5,8 @@
 //! as schema v4 with one section per query.
 
 use khuzdul::{
-    ControlConfig, ControlMode, Engine, EngineConfig, FabricConfig, FaultPlan, MiningService,
-    ObsConfig, QueryCtx, RetryPolicy, ServiceConfig, StealConfig,
+    ControlConfig, ControlMode, Counter, Engine, EngineConfig, FabricConfig, FaultPlan,
+    MiningService, ObsConfig, QueryCtx, RetryPolicy, ServiceConfig, StealConfig,
 };
 use khuzdul_repro::graph::partition::PartitionedGraph;
 use khuzdul_repro::graph::{gen, Graph};
@@ -77,17 +77,17 @@ fn overlapping_queries_match_solo_counts_under_steal_on_and_off() {
             // control messages, and its report says so — per query and
             // in the aggregate — while the shared ledger stays silent.
             let report = svc.report("khuzdul-service");
-            let sent = engine.metrics().total_ctrl_sent();
+            let sent = engine.metrics().totals()[Counter::CtrlSent];
             match mode {
                 ControlMode::Shared => assert_eq!(sent, 0, "shared ledger must send no messages"),
                 ControlMode::Msg => {
                     assert!(sent > 0, "message ledger must coordinate via messages");
                     assert_eq!(
-                        report.control.sent,
-                        report.queries.iter().map(|q| q.control.sent).sum::<u64>(),
+                        report.counters[Counter::CtrlSent],
+                        report.queries.iter().map(|q| q.counters[Counter::CtrlSent]).sum::<u64>(),
                         "aggregate control counters must reconcile with the per-query sections"
                     );
-                    assert!(report.control.sent > 0);
+                    assert!(report.counters[Counter::CtrlSent] > 0);
                 }
             }
             gpm_obs::validate_report(&report.to_json()).expect("service report must validate");
@@ -172,7 +172,7 @@ fn concurrent_queries_survive_a_crash_with_exact_counts() {
         "no query observed the injected crash"
     );
     assert!(
-        stats.iter().any(|r| r.failures.rerouted_requests > 0),
+        stats.iter().any(|r| r.counters[Counter::ReroutedRequests] > 0),
         "no query re-routed fetches to the replica holder"
     );
     // The service-level report counts the dead part once and validates.
@@ -211,7 +211,7 @@ fn service_report_attributes_per_query() {
     assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids not ascending: {ids:?}");
     let memo = &report.queries[4];
     assert!(memo.memoized);
-    assert_eq!(memo.traffic.fetch_requests, 0, "memo hit must do no fetches");
+    assert_eq!(memo.counters[Counter::FetchRequests], 0, "memo hit must do no fetches");
     assert_eq!(memo.count, report.queries[0].count);
     // Enumerated queries each get their own critical path over their
     // own spans.

@@ -4,8 +4,12 @@
 //! reconcile **exactly** — sample for sample — with the schema-v4
 //! `RunReport` the service writes.
 
+use gpm_obs::COUNTER_TABLE;
 use gpm_obs::{parse_json, sample_value, validate_exposition};
-use khuzdul::{Engine, EngineConfig, MiningService, ServiceConfig, StatusConfig, StatusServer};
+use khuzdul::{
+    ControlConfig, ControlMode, Counter, Engine, EngineConfig, FaultPlan, MiningService,
+    RetryPolicy, ServiceConfig, StatusConfig, StatusServer, StealConfig,
+};
 use khuzdul_repro::graph::gen;
 use khuzdul_repro::graph::partition::PartitionedGraph;
 use khuzdul_repro::pattern::plan::PlanOptions;
@@ -142,13 +146,11 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
     let sample =
         |name: &str| sample_value(&metrics, name, None).unwrap_or_else(|| panic!("{name}"));
     assert_eq!(sample("gpm_embeddings_total"), report.count as f64);
-    assert_eq!(sample("gpm_fetch_requests_total"), report.traffic.fetch_requests as f64);
-    assert_eq!(sample("gpm_network_bytes_total"), report.traffic.network_bytes as f64);
-    assert_eq!(sample("gpm_numa_bytes_total"), report.traffic.numa_bytes as f64);
-    assert_eq!(sample("gpm_cache_hits_total"), report.traffic.cache_hits as f64);
-    assert_eq!(sample("gpm_cache_misses_total"), report.traffic.cache_misses as f64);
-    assert_eq!(sample("gpm_coalesced_requests_total"), report.traffic.coalesced_requests as f64);
-    assert_eq!(sample("gpm_retries_total"), report.traffic.retries as f64);
+    for row in &COUNTER_TABLE {
+        if let Some((name, _)) = row.prom {
+            assert_eq!(sample(name), report.counters[row.counter] as f64, "{name}");
+        }
+    }
     assert_eq!(sample("gpm_reexecuted_roots_total"), report.failures.reexecuted_roots as f64);
     assert_eq!(sample("gpm_parts_failed_total"), report.failures.parts_failed as f64);
     assert_eq!(sample("gpm_queries_completed_total"), report.queries.len() as f64);
@@ -186,6 +188,96 @@ fn scraped_progress_is_monotone_and_metrics_reconcile_with_the_report() {
     // The ring records executed queries; memoized duplicates spent no
     // engine time and never pass through an executor.
     assert_eq!(recent.len(), outcomes.iter().filter(|o| !o.memoized).count());
+}
+
+/// The `/status` rollup's cumulative counters, name for value, from the
+/// first sample taken wholly after `completed` queries finished (the
+/// sample that first shows the count read the cluster totals just
+/// before it, so wait for the next one).
+fn status_totals_after(addr: SocketAddr, completed: u64) -> HashMap<String, u64> {
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let mut done_at: Option<u64> = None;
+    while std::time::Instant::now() < deadline {
+        let doc = parse_json(&http_get(addr, "/status")).expect("valid /status JSON");
+        let rollup = field(&doc, "rollup").expect("status has a rollup");
+        let (Some(Value::Seq(names)), Some(Value::Seq(values)), Some(Value::Seq(windows))) =
+            (field(rollup, "counter_names"), field(rollup, "cumulative"), field(rollup, "windows"))
+        else {
+            panic!("malformed rollup: {rollup:?}")
+        };
+        let totals: HashMap<String, u64> = names
+            .iter()
+            .zip(values)
+            .map(|(n, v)| match (n, v) {
+                (Value::Str(n), Value::UInt(v)) => (n.clone(), *v),
+                _ => panic!("rollup entry {n:?} = {v:?}"),
+            })
+            .collect();
+        // The window ring is bounded, so tell samples apart by time.
+        let last_t = windows.last().map_or(0, |w| num(w, "t_ns") as u64);
+        match done_at {
+            Some(t) if last_t > t => return totals,
+            None if totals["queries_completed"] == completed => done_at = Some(last_t),
+            _ => {}
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("the rollup never sampled {completed} completed queries");
+}
+
+/// Every counter-table row with a report key reconciles four ways on a
+/// seeded two-query service run over the message control plane under
+/// dropped replies: the aggregate report value, the bare `/metrics`
+/// sample, the sum of the per-query sections, and the `/status`
+/// rollup's cumulative cluster counter.
+#[test]
+fn every_reported_counter_reconciles_across_report_metrics_and_status() {
+    let g = gen::barabasi_albert(300, 5, 41);
+    let engine = Arc::new(Engine::new(
+        PartitionedGraph::new(&g, 3, 1),
+        EngineConfig {
+            steal: StealConfig { enabled: true, batch: 8, ..StealConfig::default() },
+            control: ControlConfig {
+                mode: ControlMode::Msg,
+                retry: RetryPolicy {
+                    max_attempts: 10,
+                    timeout: Duration::from_millis(50),
+                    backoff: Duration::from_micros(500),
+                },
+                fault: Some(FaultPlan { seed: 7, ..FaultPlan::drops(0.2) }),
+            },
+            ..EngineConfig::default()
+        },
+    ));
+    let svc = Arc::new(MiningService::start(Arc::clone(&engine), ServiceConfig::default()));
+    let server = StatusServer::start(
+        Arc::clone(&svc),
+        StatusConfig { tick: Duration::from_millis(10), ..StatusConfig::default() },
+    )
+    .expect("bind status server");
+    for p in [Pattern::triangle(), Pattern::cycle(4)] {
+        let run = svc.submit(&p, &PlanOptions::automine()).unwrap().wait().expect("query succeeds");
+        assert_eq!(run.count, oracle::count_subgraphs(&g, &p, false), "{p}");
+    }
+    let report = svc.report("khuzdul-service");
+    let metrics = http_get(server.local_addr(), "/metrics");
+    let status = status_totals_after(server.local_addr(), 2);
+    assert!(report.counters[Counter::CtrlSent] > 0, "the run must coordinate via messages");
+    assert!(report.counters[Counter::FetchRequests] > 0, "the run must fetch");
+    let mut reported = 0;
+    for row in &COUNTER_TABLE {
+        let Some((section, key)) = row.report else { continue };
+        let what = format!("{}.{key}", section.key());
+        let total = report.counters[row.counter];
+        let per_query: u64 = report.queries.iter().map(|q| q.counters[row.counter]).sum();
+        assert_eq!(per_query, total, "{what}: per-query sections");
+        let (name, _) = row.prom.expect("reported rows are exported");
+        assert_eq!(sample_value(&metrics, name, None), Some(total as f64), "{what}: {name}");
+        let status_name = row.status.expect("reported rows are rolled up");
+        assert_eq!(status[status_name], total, "{what}: /status {status_name}");
+        reported += 1;
+    }
+    assert_eq!(reported, 12);
 }
 
 /// The memo LRU: a capacity-capped service evicts the least-recently
